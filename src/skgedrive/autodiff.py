@@ -8,6 +8,12 @@ supported: float32 (training default) and float64 (gradient checking).
 
 Every primitive validates that finite inputs produce finite outputs and
 raises NumericError otherwise; NaN/Inf never propagates silently.
+
+`linear` is the single GEMM path for a 2-D right operand: it folds the
+left operand's leading axes into one 2-D GEMM for the forward pass and
+for each gradient, and `matmul` delegates to it in that case. `matmul`
+itself keeps the batched case of a right operand with more than two axes
+(window attention, and the row map of `skge.bilinear_resize`).
 """
 
 from __future__ import annotations
@@ -192,8 +198,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not _needs(t):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a private copy: ops hand views of one upstream gradient to several
+        # inputs (add, sub, reshape) and sum_ hands a read-only broadcast
+        # view, so a later += must never write through an alias
+        t.grad = np.array(g, dtype=t.dtype)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -219,8 +229,10 @@ def add(a: Tensor, b) -> Tensor:
     _check_dtypes(a, b, "add")
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g, a.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _apply(a.data + b.data, (a, b), backward, "add")
 
@@ -230,8 +242,10 @@ def sub(a: Tensor, b) -> Tensor:
     _check_dtypes(a, b, "sub")
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g, a.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _apply(a.data - b.data, (a, b), backward, "sub")
 
@@ -241,8 +255,10 @@ def mul(a: Tensor, b) -> Tensor:
     _check_dtypes(a, b, "mul")
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _apply(a.data * b.data, (a, b), backward, "mul")
 
@@ -252,8 +268,10 @@ def div(a: Tensor, b) -> Tensor:
     _check_dtypes(a, b, "div")
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data  # the finiteness check turns inf into an error
@@ -319,12 +337,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # one stable pass: exp(-|x|) never overflows, and e / (1 + e) keeps full
+    # relative precision for large negative x where 1 - 1 / (1 + e) would not
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         _accum(a, g * out_data * (1.0 - out_data))
@@ -335,7 +352,8 @@ def sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """tanh-form gaussian error linear unit (smooth, FD-friendly)."""
     x = a.data
-    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * x ** 3)
+    # x * x * x, not x ** 3: numpy's power has no fast path for a cube
+    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
     t = np.tanh(u)
     out_data = 0.5 * x * (1.0 + t)
 
@@ -464,12 +482,48 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and normalization
 
+def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """x @ w (+ bias) for a 2-D w, over x's last axis.
+
+    The leading axes of x are folded into one, so the forward pass and all
+    three gradients are single 2-D GEMMs (or one column sum for the bias),
+    and the op takes one tape record where matmul plus add took two.
+    """
+    inputs = (x, w) if bias is None else (x, w, bias)
+    for t in inputs[1:]:
+        _check_dtypes(x, t, "linear")
+    if w.ndim != 2:
+        raise ShapeError(f"linear needs a 2-d weight, got {x.shape} @ {w.shape}")
+    k, d = w.shape
+    if x.shape[-1] != k:
+        raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
+    if bias is not None and bias.shape != (d,):
+        raise ShapeError(f"linear bias must have shape ({d},), got {bias.shape}")
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    if bias is not None:
+        y += bias.data
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        if _needs(x):
+            _accum(x, (g2 @ w.data.T).reshape(x.shape))
+        if _needs(w):
+            _accum(w, x2.T @ g2)
+        if bias is not None and _needs(bias):
+            _accum(bias, g2.sum(axis=0))
+
+    return _apply(y.reshape(x.shape[:-1] + (d,)), inputs, backward, "linear")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        return linear(a, b)
 
     def backward(g):
         if _needs(a):

@@ -9,6 +9,7 @@ The same container stores model checkpoints and dataset samples.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Dict
 
@@ -21,19 +22,32 @@ VERSION = 1
 
 
 def write_records(path, arrays: Dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, arr in arrays.items():
-            # asarray keeps rank-0 inputs rank 0; ascontiguousarray would not
-            arr = np.asarray(arr, dtype="<f4", order="C")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(arr.tobytes())
+    """Write arrays to path, replacing any previous file only once complete.
+
+    The records go to a temporary sibling that is renamed over path, so a
+    failure or kill part-way through leaves the previous file untouched.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for name, arr in arrays.items():
+                # asarray keeps rank-0 inputs rank 0; ascontiguousarray would not
+                arr = np.asarray(arr, dtype="<f4", order="C")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _take(buf: bytes, offset: int, n: int, path, what: str) -> tuple:

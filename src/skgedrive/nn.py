@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -79,12 +78,7 @@ class Linear(Module):
                            requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise ShapeError(f"linear expects last dim {self.in_features}, got {x.shape}")
-        y = ad.matmul(x, self.weight)
-        if self.bias is not None:
-            y = ad.add(y, self.bias)
-        return y
+        return ad.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -131,8 +125,8 @@ class GRUCell(Module):
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         hs = self.hidden_size
-        gi = ad.add(ad.matmul(x, self.w_ih), self.b_ih)
-        gh = ad.add(ad.matmul(h, self.w_hh), self.b_hh)
+        gi = ad.linear(x, self.w_ih, self.b_ih)
+        gh = ad.linear(h, self.w_hh, self.b_hh)
         i_r = ad.slice_(gi, (slice(None), slice(0, hs)))
         i_z = ad.slice_(gi, (slice(None), slice(hs, 2 * hs)))
         i_n = ad.slice_(gi, (slice(None), slice(2 * hs, 3 * hs)))

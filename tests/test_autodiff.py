@@ -43,6 +43,10 @@ def _op_cases(rng):
     m242 = _t(_rand(rng, (2, 4, 2)), False)
     w234 = _t(_rand(rng, (2, 3, 4)), False)
     w233 = _t(_rand(rng, (2, 3, 3)), False)
+    x2324 = _rand(rng, (2, 3, 2, 4))
+    m43 = _rand(rng, (4, 3))
+    w2323 = _t(_rand(rng, (2, 3, 2, 3)), False)
+    w232 = _t(_rand(rng, (2, 3, 2)), False)
 
     cases = {
         "add": (lambda x: ad.sum_(ad.add(x, _t(b3, False))), a23),
@@ -73,6 +77,19 @@ def _op_cases(rng):
         "matmul_lhs": (lambda x: ad.sum_(ad.matmul(x, _t(m42, False))), m34),
         "matmul_rhs": (lambda x: ad.sum_(ad.matmul(_t(m34, False), x)), m42),
         "matmul_batched": (lambda x: ad.sum_(ad.matmul(x, m242)), a234),
+        "matmul_rhs_under_3d_lhs": (
+            lambda x: ad.sum_(ad.mul(ad.matmul(_t(a234, False), x), w232)), m42),
+        "linear_x": (
+            lambda x: ad.sum_(ad.mul(ad.linear(x, _t(m43, False), _t(b3, False)), w2323)),
+            x2324),
+        "linear_w": (
+            lambda w: ad.sum_(ad.mul(ad.linear(_t(x2324, False), w, _t(b3, False)), w2323)),
+            m43),
+        "linear_bias": (
+            lambda b: ad.sum_(ad.mul(ad.linear(_t(x2324, False), _t(m43, False), b), w2323)),
+            b3),
+        "linear_no_bias": (
+            lambda w: ad.sum_(ad.mul(ad.linear(_t(x2324, False), w), w2323)), m43),
         "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax_lastdim(x), w234)), a234),
         "softmax_masked": (
             lambda x: ad.sum_(ad.mul(ad.softmax_lastdim(x, blocked=mask), w233)),
@@ -128,6 +145,74 @@ def test_backward_twice_accumulates_leaf_grads():
         g1 = x.grad.copy()
         tape.backward(y)
     np.testing.assert_allclose(x.grad, 2 * g1)
+
+
+def test_linear_matches_matmul_plus_bias_in_one_record(rng):
+    x = _t(rng.standard_normal((2, 3, 4)))
+    w = _t(rng.standard_normal((4, 5)))
+    b = _t(rng.standard_normal(5))
+    with Tape() as tape:
+        y = ad.linear(x, w, b)
+    assert len(tape.records) == 1
+    np.testing.assert_allclose(y.numpy(), x.numpy() @ w.numpy() + b.numpy(), atol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.linear(x, w, _t(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ad.linear(x, _t(np.zeros((3, 5))))
+
+
+def _dyadic(rng, shape):
+    # quarters add exactly, so a second backward gives exactly twice the first
+    return rng.integers(-8, 9, size=shape) / 4.0
+
+
+def test_shared_upstream_gradient_is_not_aliased(rng):
+    # add hands one upstream gradient (or views of it) to both inputs and sub
+    # hands one to its left input. add is recorded last, so its backward runs
+    # first and makes both leaves' first writes: grads that aliased its
+    # upstream gradient would be written through by sub's += on x
+    x = _t(_dyadic(rng, 3))
+    y = _t(_dyadic(rng, 3))
+    w1 = _t(_dyadic(rng, 3), False)
+    w2 = _t(_dyadic(rng, 3), False)
+    with Tape() as tape:
+        loss = ad.add(ad.sum_(ad.mul(ad.sub(x, y), w2)),
+                      ad.sum_(ad.mul(ad.add(x, y), w1)))
+        tape.backward(loss)
+        gx, gy = x.grad.copy(), y.grad.copy()
+        tape.backward(loss)
+    np.testing.assert_allclose(gx, w1.numpy() + w2.numpy(), atol=1e-12)
+    np.testing.assert_allclose(gy, w1.numpy() - w2.numpy(), atol=1e-12)
+    assert np.array_equal(x.grad, 2 * gx)
+    assert np.array_equal(y.grad, 2 * gy)
+
+
+def test_first_write_from_sum_broadcast_view_then_more(rng):
+    # sum_'s backward hands a read-only broadcast view; it is x's first
+    # gradient contribution here, and mul's contribution follows it
+    x = _t(_dyadic(rng, (2, 3)))
+    w = _t(_dyadic(rng, (2, 3)), False)
+    with Tape() as tape:
+        weighted = ad.sum_(ad.mul(x, w))
+        loss = ad.add(weighted, ad.sum_(x))
+        tape.backward(loss)
+        g1 = x.grad.copy()
+        tape.backward(loss)
+    np.testing.assert_allclose(g1, 1.0 + w.numpy(), atol=1e-12)
+    assert np.array_equal(x.grad, 2 * g1)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_sigmoid_keeps_relative_precision(dtype, rtol):
+    x = np.linspace(-30.0, 30.0, 601).astype(dtype)
+    if dtype == np.float64:
+        x = np.concatenate([x, [-700.0, 700.0]])
+    with np.errstate(all="raise"):
+        got = ad.sigmoid(Tensor(x)).numpy()
+    assert got.dtype == dtype
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
 
 def test_backward_requires_scalar():

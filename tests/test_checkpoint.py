@@ -122,3 +122,28 @@ def test_read_meta_without_model(tmp_path):
     model = build_model(cfg, np.random.default_rng(1))
     save_model(path, model, {"epoch": 7.0})
     assert read_meta(path) == {"epoch": 7.0}
+
+
+class _FailingArray:
+    """Stands in for an array whose conversion fails part-way through a write."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("injected failure")
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    write_records(path, _arrays(np.random.default_rng(0)))
+    before = path.read_bytes()
+    arrays = _arrays(np.random.default_rng(1))
+    arrays["late"] = _FailingArray()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        write_records(path, arrays)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_failed_first_write_leaves_nothing(tmp_path):
+    with pytest.raises(RuntimeError):
+        write_records(tmp_path / "new.ckpt", {"a": np.ones(2), "b": _FailingArray()})
+    assert list(tmp_path.iterdir()) == []
