@@ -14,6 +14,14 @@ left operand's leading axes into one 2-D GEMM for the forward pass and
 for each gradient, and `matmul` delegates to it in that case. `matmul`
 itself keeps the batched case of a right operand with more than two axes
 (window attention, and the row map of `skge.bilinear_resize`).
+
+Gradient ownership: a backward closure may hand out a view of its
+upstream gradient (`add`, `sub`, `reshape`, `transpose`) or a read-only
+broadcast view (`sum_`), and `_accum` stores the first contribution as
+is. No stored gradient is ever written in place: a later contribution
+rebinds `t.grad` to a new array. An array read from `t.grad` therefore
+keeps its values after a further backward pass, and callers must not
+write into it either.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, DataError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 _SQRT_2_OVER_PI = 0.7978845608028654
@@ -198,12 +206,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not _needs(t):
         return
     if t.grad is None:
-        # a private copy: ops hand views of one upstream gradient to several
-        # inputs (add, sub, reshape) and sum_ hands a read-only broadcast
-        # view, so a later += must never write through an alias
-        t.grad = np.array(g, dtype=t.dtype)
+        # stored as is; g may alias another tensor's gradient, which is
+        # safe because no gradient is ever written in place
+        t.grad = g if g.dtype == t.dtype else g.astype(t.dtype)
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -337,11 +344,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # one stable pass: exp(-|x|) never overflows, and e / (1 + e) keeps full
-    # relative precision for large negative x where 1 - 1 / (1 + e) would not
+    # exp(min(x, 0)) / (1 + exp(-|x|)): neither exp overflows, and for x < 0
+    # the numerator is the same exp(-|x|), so large negative x keeps full
+    # relative precision where 1 - 1 / (1 + e) would not; for x >= 0 the
+    # numerator is exp(0) == 1 (two exps run faster than one np.where)
     x = a.data
-    e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out_data = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
     def backward(g):
         _accum(a, g * out_data * (1.0 - out_data))
@@ -363,6 +371,46 @@ def gelu(a: Tensor) -> Tensor:
         _accum(a, g * local)
 
     return _apply(out_data, (a,), backward, "gelu")
+
+
+def bce_dice(p: Tensor, gt: Tensor, lo: float = 1e-7, smooth: float = 1e-6) -> Tensor:
+    """Mean binary cross-entropy plus global soft Dice, in one tape record.
+
+    p is clamped to pc in [lo, 1 - lo] first; gt must be 0/1 and needs no
+    gradient. The loss is -mean(gt log pc + (1 - gt) log(1 - pc))
+    + 1 - 2 sum(pc gt) / (sum(pc) + sum(gt) + smooth), and only p gets a
+    gradient, zero where the clamp changed it.
+    """
+    _check_dtypes(p, gt, "bce_dice")
+    if p.shape != gt.shape:
+        raise ShapeError(f"bce_dice: prediction {p.shape} vs ground truth {gt.shape}")
+    if _needs(gt):
+        raise ContractError("bce_dice: the ground truth must not need a gradient")
+    y = gt.data
+    if not ((y == 0) | (y == 1)).all():
+        raise DataError("segmentation ground truth must be binary")
+    pc = np.clip(p.data, lo, 1.0 - lo)
+    inside = pc == p.data
+    # pc on positives, 1 - pc on negatives, bit for bit: adding 0 is exact,
+    # and pc - 1 rounds to exactly -(1 - pc)
+    q = pc + (y - 1.0)
+    np.abs(q, out=q)
+    n = p.size
+    bce = -np.log(q).mean()
+    inter = (pc * y).sum()
+    den = pc.sum() + y.sum() + smooth
+    out_data = np.asarray(bce + (1.0 - inter * 2.0 / den), dtype=p.dtype)
+
+    def backward(g):
+        # d/dpc: (1 - 2gt) / (n q) from the BCE, -2gt/D + 2I/D^2 from Dice
+        gp = (1.0 - 2.0 * y) / (n * q)
+        gp += y * (-2.0 / den)
+        gp += 2.0 * inter / (den * den)
+        gp *= inside
+        gp *= g
+        _accum(p, gp)
+
+    return _apply(out_data, (p,), backward, "bce_dice")
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,11 @@ class PatchMerging(nn.Module):
         b, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ConfigError(f"patch merge needs even extents, got {h}x{w}")
-        quads = [ad.slice_(x, (slice(None), slice(di, None, 2), slice(dj, None, 2),
-                               slice(None)))
-                 for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1))]
-        x = ad.concat(quads, axis=3)
+        # channel block 2*dj + di holds x[:, di::2, dj::2]: split each grid
+        # axis into (cell, offset), then move the offsets next to channels
+        x = ad.reshape(x, (b, h // 2, 2, w // 2, 2, c))
+        x = ad.transpose(x, (0, 1, 3, 4, 2, 5))
+        x = ad.reshape(x, (b, h // 2, w // 2, 4 * c))
         return self.reduction(self.norm(x))
 
 

@@ -124,7 +124,7 @@ def validate_sample(s: Sample) -> None:
     for name, arr in (("rgb", s.rgb), ("depth_rgb", s.depth_rgb)):
         if arr.min() < 0 or arr.max() > 255:
             raise DataError(f"{name} values outside 0..255")
-    onehot = np.isin(s.seg_gt, (0.0, 1.0)).all() and np.all(s.seg_gt.sum(axis=0) == 1.0)
+    onehot = ((s.seg_gt == 0) | (s.seg_gt == 1)).all() and np.all(s.seg_gt.sum(axis=0) == 1.0)
     if not onehot:
         raise DataError("segmentation ground truth is not one-hot")
     if not np.isfinite(s.speed) or s.speed < 0:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint
 from .autodiff import Tape, Tensor
-from .errors import ContractError, DataError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 from .model import DrivingModel, ModelOutput, build_model, make_batch
 from .skge import route_code
 
@@ -32,17 +32,7 @@ TASKS = ("seg", "tl", "ss", "st", "th", "br", "wp")
 
 def seg_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean binary cross-entropy plus global soft Dice on sigmoid probabilities."""
-    if pred.shape != gt.shape:
-        raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
-    if not np.isin(gt.data, (0.0, 1.0)).all():
-        raise DataError("segmentation ground truth must be binary")
-    p = ad.clamp(pred, 1e-7, 1.0 - 1e-7)
-    bce = ad.mul(ad.mean(ad.add(ad.mul(gt, ad.log(p)),
-                                ad.mul(1.0 - gt, ad.log(1.0 - p)))), -1.0)
-    inter = ad.sum_(ad.mul(p, gt))
-    denom = ad.add(ad.add(ad.sum_(p), ad.sum_(gt)), 1e-6)
-    dice = 1.0 - ad.div(ad.mul(inter, 2.0), denom)
-    return ad.add(bce, dice)
+    return ad.bce_dice(pred, gt)
 
 
 def l1_loss(pred: Tensor, gt: Tensor) -> Tensor:
@@ -103,22 +93,36 @@ class AdamW:
         self.t = 0
         self._m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
         self._v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
+        self._scratch = [np.empty_like(p.data, dtype=np.float64) for p in self.params]
 
     def step(self) -> None:
+        # float64 throughout, in the order of m += (1 - b1) g;
+        # v += (1 - b2) g g; u = (m / bc1) / (sqrt(v / bc2) + eps);
+        # w = (1 - lr wd) w - lr u, but written into m, v and one scratch
+        # per parameter (dtype= casts an operand as astype would)
         b1, b2 = self.betas
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = np.zeros_like(p.data, dtype=np.float64) if p.grad is None \
-                else p.grad.astype(np.float64)
+        f64 = np.float64
+        for p, m, v, s in zip(self.params, self._m, self._v, self._scratch):
+            g = 0.0 if p.grad is None else p.grad
+            np.multiply(g, 1.0 - b1, out=s, dtype=f64)
             m *= b1
-            m += (1.0 - b1) * g
+            m += s
+            np.multiply(g, 1.0 - b2, out=s, dtype=f64)
+            np.multiply(s, g, out=s, dtype=f64)
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = ((1.0 - self.lr * self.weight_decay) * p.data.astype(np.float64)
-                      - self.lr * update).astype(p.data.dtype)
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            u = m / bc1
+            u /= s
+            u *= self.lr
+            np.multiply(p.data, 1.0 - self.lr * self.weight_decay, out=s, dtype=f64)
+            s -= u
+            p.data = s.astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -3,9 +3,11 @@ import pytest
 
 from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor, grad_check, grad_check_params
-from skgedrive.errors import ContractError, NumericError, ShapeError
+from skgedrive.errors import ContractError, DataError, NumericError, ShapeError
 
-from oracles import gelu_reference, layer_norm_reference, softmax_reference
+from oracles import (bce_reference, dice_reference, gelu_reference,
+                     layer_norm_reference, sigmoid_where_reference,
+                     softmax_reference)
 
 N_TRIALS = 50
 
@@ -47,6 +49,8 @@ def _op_cases(rng):
     m43 = _rand(rng, (4, 3))
     w2323 = _t(_rand(rng, (2, 3, 2, 3)), False)
     w232 = _t(_rand(rng, (2, 3, 2)), False)
+    prob = _rand(rng, (2, 3, 4), 0.05, 0.95)
+    binary = _t((rng.random((2, 3, 4)) < 0.4).astype(np.float64), False)
 
     cases = {
         "add": (lambda x: ad.sum_(ad.add(x, _t(b3, False))), a23),
@@ -90,6 +94,7 @@ def _op_cases(rng):
             b3),
         "linear_no_bias": (
             lambda w: ad.sum_(ad.mul(ad.linear(_t(x2324, False), w), w2323)), m43),
+        "bce_dice": (lambda x: ad.bce_dice(x, binary), prob),
         "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax_lastdim(x), w234)), a234),
         "softmax_masked": (
             lambda x: ad.sum_(ad.mul(ad.softmax_lastdim(x, blocked=mask), w233)),
@@ -213,6 +218,64 @@ def test_sigmoid_keeps_relative_precision(dtype, rtol):
     assert np.all((got >= 0.0) & (got <= 1.0))
     want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+def test_gradient_is_never_written_in_place(rng):
+    # x's first contribution is sum_'s broadcast view; a held gradient array
+    # must keep its values when a further backward adds to x.grad
+    x = _t(_dyadic(rng, (2, 3)))
+    w = _t(_dyadic(rng, (2, 3)), False)
+    with Tape() as tape:
+        loss = ad.add(ad.sum_(ad.mul(x, w)), ad.sum_(x))
+        tape.backward(loss)
+        g1 = x.grad
+        before = g1.copy()
+        tape.backward(loss)
+    assert np.array_equal(g1, before)
+    assert np.array_equal(x.grad, 2 * g1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_equal_to_where_form(dtype):
+    hi = 100.0 if dtype == np.float32 else 700.0
+    x = np.concatenate([np.linspace(-hi, hi, 20001), [0.0, -0.0, -hi, hi]]).astype(dtype)
+    got = ad.sigmoid(Tensor(x)).numpy()
+    want = sigmoid_where_reference(x)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bce_dice_one_record_matches_references(seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 1.0, (2, 3, 5, 5))
+    p[0, 0, 0, :2] = (0.0, 1.0)   # clamped
+    gt = (rng.random(p.shape) < 0.3).astype(np.float64)
+    x = _t(p)
+    with Tape() as tape:
+        loss = ad.bce_dice(x, _t(gt, False))
+    assert len(tape.records) == 1
+    want = bce_reference(p, gt) + dice_reference(np.clip(p, 1e-7, 1 - 1e-7), gt)
+    assert loss.item() == pytest.approx(want, rel=1e-12)
+
+
+def test_bce_dice_gradient_zero_where_clamped():
+    x = _t([[1e-9, 0.3, 1.0 - 1e-9, 0.7]])
+    gt = _t([[1.0, 0.0, 0.0, 1.0]], False)
+    with Tape() as tape:
+        tape.backward(ad.bce_dice(x, gt))
+    assert x.grad[0, 0] == 0.0 and x.grad[0, 2] == 0.0
+    assert np.all(x.grad[0, [1, 3]] != 0.0)
+
+
+def test_bce_dice_rejects_bad_ground_truth():
+    p = _t(np.full((1, 2, 2), 0.5))
+    with pytest.raises(DataError):
+        ad.bce_dice(p, _t(np.full((1, 2, 2), 0.5), False))
+    with pytest.raises(ShapeError):
+        ad.bce_dice(p, _t(np.zeros((1, 2, 3)), False))
+    with pytest.raises(ContractError):
+        ad.bce_dice(p, _t(np.zeros((1, 2, 2))))
 
 
 def test_backward_requires_scalar():

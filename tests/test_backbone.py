@@ -151,6 +151,23 @@ def test_patch_merging_gathers_2x2_neighbors(rng):
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_patch_merging_gather_is_bitwise_quad_concat(rng):
+    pm = PatchMerging(3, rng)
+    x = Tensor(rng.standard_normal((2, 4, 6, 3)).astype(np.float32), requires_grad=True)
+    offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
+    quads = Tensor(np.concatenate([x.numpy()[:, di::2, dj::2] for di, dj in offsets],
+                                  axis=-1), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 2, 3, 6)).astype(np.float32))
+    with Tape() as tape:
+        got = pm(x)
+        assert len(tape.records) == 5   # three gather records, norm, reduction
+        want = pm.reduction(pm.norm(quads))
+        tape.backward(ad.add(ad.sum_(ad.mul(got, w)), ad.sum_(ad.mul(want, w))))
+    assert np.array_equal(got.numpy(), want.numpy())
+    for k, (di, dj) in enumerate(offsets):
+        assert np.array_equal(x.grad[:, di::2, dj::2], quads.grad[..., 3 * k:3 * k + 3])
+
+
 def test_patch_embed_shape_and_validation(rng):
     cfg = _cfg(input_size=16, embed_dim=8)
     pe = PatchEmbed(cfg, 3, rng)
