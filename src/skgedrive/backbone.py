@@ -12,7 +12,7 @@ input is channels-first (B, Cin, H, W) like the stored images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ class BackboneConfig:
     depths: tuple = (1, 1, 2, 1)
     heads: tuple = (2, 4, 8, 16)
     mlp_ratio: float = 4.0
-    variant_name: str = "desk"
 
     def __post_init__(self):
         self.depths = tuple(int(d) for d in self.depths)
@@ -144,8 +143,8 @@ class WindowAttention(nn.Module):
 
         mask = None if blocked is None else blocked[:, None, :, :]
         attn = ad.softmax_lastdim(logits, blocked=mask)
-        # plain array copy of the weights, kept for inspection
-        self.last_attn = attn.data.copy()
+        # the weights, kept for inspection; no op writes its output in place
+        self.last_attn = attn.data
 
         out = ad.matmul(attn, v)  # (nw, h, t, hd)
         out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (nw, t, c))
@@ -323,6 +322,3 @@ class SwinEncoder(nn.Module):
             if s < 3:
                 x = self.merges[s](x)
         return feats
-
-    def forward(self, img: Tensor) -> StageFeatures:
-        return self.forward_stages(img)

@@ -5,49 +5,63 @@ record per tensor: name length (u32 LE), UTF-8 name, rank (u32 LE), one
 u32 LE extent per axis, then the float32 LE payload, row-major. Records
 run until end of file; anything short of a whole record is corruption.
 The same container stores model checkpoints and dataset samples.
+
+A checkpoint holds one record per parameter, scalar metadata under meta/
+names, and, when written by training, a rank-1 `config` record: the run
+config's text (RunConfig.dumps), one element per UTF-8 byte. Bytes are
+0..255, which float32 stores exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from typing import Dict
 
 import numpy as np
 
-from .errors import CorruptDataError
+from .errors import ConfigError, CorruptDataError
 
 MAGIC = b"SKGE"
 VERSION = 1
+CONFIG_RECORD = "config"
 
 
-def write_records(path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write arrays to path, replacing any previous file only once complete.
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb"):
+    """Open a temporary sibling of path that is renamed over path on success.
 
-    The records go to a temporary sibling that is renamed over path, so a
-    failure or kill part-way through leaves the previous file untouched.
+    A failure or kill part-way through the write leaves any previous file
+    at path untouched; the temporary file is removed on failure.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            for name, arr in arrays.items():
-                # asarray keeps rank-0 inputs rank 0; ascontiguousarray would not
-                arr = np.asarray(arr, dtype="<f4", order="C")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(arr.tobytes())
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_records(path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write arrays to path, replacing any previous file only once complete."""
+    with replacing(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        for name, arr in arrays.items():
+            # asarray keeps rank-0 inputs rank 0; ascontiguousarray would not
+            arr = np.asarray(arr, dtype="<f4", order="C")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            for extent in arr.shape:
+                fh.write(struct.pack("<I", extent))
+            fh.write(arr.tobytes())
 
 
 def _take(buf: bytes, offset: int, n: int, path, what: str) -> tuple:
@@ -83,9 +97,13 @@ def read_records(path) -> Dict[str, np.ndarray]:
     return out
 
 
-def save_model(path, model, meta: Dict[str, float] | None = None) -> None:
-    """Store model parameters plus scalar metadata under meta/ names."""
+def save_model(path, model, meta: Dict[str, float] | None = None,
+               config: str | None = None) -> None:
+    """Store model parameters, scalar metadata under meta/ names, and the
+    run config text as the `config` record."""
     arrays: Dict[str, np.ndarray] = {}
+    if config is not None:
+        arrays[CONFIG_RECORD] = np.frombuffer(config.encode("utf-8"), dtype=np.uint8)
     for key, value in (meta or {}).items():
         arrays[f"meta/{key}"] = np.asarray([float(value)], dtype=np.float32)
     for name, p in model.named_parameters():
@@ -93,11 +111,20 @@ def save_model(path, model, meta: Dict[str, float] | None = None) -> None:
     write_records(path, arrays)
 
 
-def load_model(path, model) -> Dict[str, float]:
-    """Load parameters by name into model; returns the meta/ scalars."""
-    from .errors import ConfigError
+def config_text(arrays: Dict[str, np.ndarray], path) -> str:
+    """The run config text a checkpoint's `config` record carries."""
+    codes = arrays.get(CONFIG_RECORD)
+    if codes is None:
+        raise ConfigError(f"{path}: checkpoint has no {CONFIG_RECORD!r} record, "
+                          f"so the model it holds cannot be rebuilt")
+    try:
+        return codes.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptDataError(f"{path}: {CONFIG_RECORD!r} record is not UTF-8") from None
 
-    arrays = read_records(path)
+
+def assign_parameters(arrays: Dict[str, np.ndarray], model, path) -> Dict[str, float]:
+    """Set model's parameters from records read from path; returns the meta/ scalars."""
     meta = {k[len("meta/"):]: float(v[0]) for k, v in arrays.items()
             if k.startswith("meta/")}
     params = dict(model.named_parameters())
@@ -110,13 +137,13 @@ def load_model(path, model) -> Dict[str, float]:
                               f"match model shape {tuple(p.shape)}")
         p.data = arr.astype(p.data.dtype)
         p.grad = None
-    extra = [k for k in arrays if not k.startswith("meta/") and k not in params]
+    extra = [k for k in arrays if not k.startswith("meta/") and k != CONFIG_RECORD
+             and k not in params]
     if extra:
         raise ConfigError(f"{path}: checkpoint has records the model does not: {extra[:3]}")
     return meta
 
 
-def read_meta(path) -> Dict[str, float]:
-    arrays = read_records(path)
-    return {k[len("meta/"):]: float(v[0]) for k, v in arrays.items()
-            if k.startswith("meta/")}
+def load_model(path, model) -> Dict[str, float]:
+    """Load parameters by name into model; returns the meta/ scalars."""
+    return assign_parameters(read_records(path), model, path)

@@ -14,7 +14,7 @@ import os
 import resource
 import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -22,13 +22,8 @@ from . import checkpoint, scoring
 from .config import RunConfig
 from .data import SceneConfig, load_dataset, save_dataset, synth_scene
 from .errors import ConfigError, DataError, NumericError
-from .heads import NUM_CLASSES, seg_argmax
 from .model import build_model, make_batch
-from .skge import parse_route, route_from_code
-from .training import TASKS, compute_task_losses, fit
-
-REPORT_FIELDS = ("ss_metric", "wp_metric", "str_metric", "thr_metric",
-                 "brk_metric", "redl_metric", "stops_metric")
+from .training import REPORT_FIELDS, evaluate, fit
 
 
 def _seed(args) -> int:
@@ -54,9 +49,8 @@ def _train_config(args) -> RunConfig:
     if args.config:
         cfg.load_file(args.config)
     if args.skge_route is not None:
-        route = str(parse_route(args.skge_route))
-        cfg.set("skge.route_a", route)
-        cfg.set("skge.route_b", route)
+        cfg.set("skge.route_a", args.skge_route)
+        cfg.set("skge.route_b", args.skge_route)
     if args.seed is not None or os.environ.get("SKGE_SEED") is not None:
         env = os.environ.get("SKGE_SEED")
         cfg.set("train.seed", int(env) if env is not None else int(args.seed))
@@ -76,81 +70,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _config_from_meta(meta: Dict[str, float]) -> RunConfig:
-    cfg = RunConfig()
-    cfg.set("backbone.input_size", int(meta["input_size"]))
-    cfg.set("backbone.patch", int(meta["patch"]))
-    cfg.set("backbone.window", int(meta["window"]))
-    cfg.set("backbone.embed_dim", int(meta["embed_dim"]))
-    cfg.set("backbone.depths", ",".join(str(int(meta[f"depth{i}"])) for i in range(4)))
-    cfg.set("backbone.heads", ",".join(str(int(meta[f"head{i}"])) for i in range(4)))
-    cfg.set("bev.size", int(meta["bev_size"]))
-    cfg.set("bev.resolution_m", float(meta["bev_resolution_m"]))
-    cfg.set("bev.use_lidar", int(meta["use_lidar"]))
-    cfg.set("skge.route_a", str(route_from_code(meta["route_a"])))
-    cfg.set("skge.route_b", str(route_from_code(meta["route_b"])))
-    return cfg
-
-
 def _load_model_from_ckpt(path):
-    meta = checkpoint.read_meta(path)
-    needed = {"input_size", "patch", "window", "embed_dim", "route_a", "route_b"}
-    missing = needed - set(meta)
-    if missing:
-        raise ConfigError(f"{path}: checkpoint metadata missing {sorted(missing)}")
-    cfg = _config_from_meta(meta)
+    """The model a training checkpoint holds, rebuilt from its config record."""
+    arrays = checkpoint.read_records(path)
+    cfg = RunConfig().loads(checkpoint.config_text(arrays, path),
+                            f"{path}:{checkpoint.CONFIG_RECORD}")
     model = build_model(cfg, np.random.default_rng(0))
-    checkpoint.load_model(path, model)
+    checkpoint.assign_parameters(arrays, model, path)
     return model, cfg
 
 
 def evaluate_dataset(model, cfg, samples, batch_size: int = 8) -> Dict[str, float]:
-    """The 7-field task-metric report plus the combined test metric."""
-    use_lidar = bool(int(cfg["bev.use_lidar"]))
-    pred_masks: List[np.ndarray] = []
-    gt_masks: List[np.ndarray] = []
-    wp_pred, wp_gt = [], []
-    ctrl_pred, ctrl_gt = [], []
-    tl_pred, tl_gt, ss_pred, ss_gt = [], [], [], []
-    loss_sums = np.zeros(len(TASKS))
-    seen = 0
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        batch = make_batch(chunk, use_lidar)
-        out = model.forward(batch)
-        losses = compute_task_losses(out, batch)
-        loss_sums += np.array([losses[t].item() for t in TASKS]) * len(chunk)
-        seen += len(chunk)
+    """The 7-field task-metric report plus test_metric, the mean task loss.
 
-        cls = seg_argmax(out.seg_logits.data)
-        onehot = np.eye(NUM_CLASSES, dtype=bool)[cls].transpose(0, 3, 1, 2)
-        pred_masks.append(onehot)
-        gt_masks.append(batch["seg_gt"].astype(bool))
-        wp_pred.append(out.waypoints.data)
-        wp_gt.append(batch["waypoints_gt"])
-        ctrl_pred.append(np.concatenate(
-            [out.steering.data, out.throttle.data, out.brake.data], axis=1))
-        ctrl_gt.append(batch["controls_gt"])
-        tl_pred.append(out.tl_prob.data)
-        tl_gt.append(batch["tl_gt"])
-        ss_pred.append(out.ss_prob.data)
-        ss_gt.append(batch["ss_gt"])
-
-    pred_all = np.concatenate(pred_masks).transpose(1, 0, 2, 3)
-    gt_all = np.concatenate(gt_masks).transpose(1, 0, 2, 3)
-    _, mean_iou = scoring.iou(pred_all, gt_all)
-    ctrl_p = np.concatenate(ctrl_pred)
-    ctrl_g = np.concatenate(ctrl_gt)
-    report = {
-        "ss_metric": mean_iou,
-        "wp_metric": scoring.mae(np.concatenate(wp_pred), np.concatenate(wp_gt)),
-        "str_metric": scoring.mae(ctrl_p[:, 0], ctrl_g[:, 0]),
-        "thr_metric": scoring.mae(ctrl_p[:, 1], ctrl_g[:, 1]),
-        "brk_metric": scoring.mae(ctrl_p[:, 2], ctrl_g[:, 2]),
-        "redl_metric": scoring.accuracy(np.concatenate(tl_pred), np.concatenate(tl_gt)),
-        "stops_metric": scoring.accuracy(np.concatenate(ss_pred), np.concatenate(ss_gt)),
-    }
-    report["test_metric"] = float(loss_sums.sum() / (seen * len(TASKS)))
+    cfg is not read: the model carries its own configuration.
+    """
+    task_means, report = evaluate(model, samples, batch_size)
+    report["test_metric"] = float(task_means.mean())
     return report
 
 
@@ -192,7 +128,7 @@ def cmd_bench(args) -> int:
     model, cfg = _load_model_from_ckpt(args.ckpt)
     sample = synth_scene(_seed(args),
                          SceneConfig(size=int(cfg["backbone.input_size"])))
-    batch = make_batch([sample], bool(int(cfg["bev.use_lidar"])))
+    batch = make_batch([sample])
     for _ in range(10):
         model.forward(batch)
     start = time.perf_counter()

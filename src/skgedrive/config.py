@@ -2,7 +2,8 @@
 
 All tunables live in one namespace-dotted key space with typed defaults;
 unknown keys are rejected by name so config-file typos fail loudly. A
-config file holds one `key = value` pair per line, with # comments.
+config file holds one `key = value` pair per line, with # comments; the
+same text, written by dumps(), is stored in every training checkpoint.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .errors import ConfigError
+from .skge import parse_route
 
 DEFAULTS: Dict[str, object] = {
     "backbone.input_size": 64,
@@ -18,7 +20,6 @@ DEFAULTS: Dict[str, object] = {
     "backbone.embed_dim": 24,
     "backbone.depths": "1,1,2,1",
     "backbone.heads": "2,4,8,16",
-    "backbone.variant": "desk",
     "skge.route_a": "1->4",
     "skge.route_b": "1->4",
     "bev.size": 64,
@@ -52,6 +53,9 @@ class RunConfig:
                 self._values[key] = int(value)
             elif isinstance(default, float):
                 self._values[key] = float(value)
+            elif key.startswith("skge.route_"):
+                # canonical text, so "none" reads back as the "4" it builds
+                self._values[key] = str(parse_route(str(value)))
             else:
                 self._values[key] = str(value)
         except (TypeError, ValueError):
@@ -62,17 +66,22 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         return self._values[key]
 
-    def as_dict(self) -> Dict[str, object]:
-        return dict(self._values)
+    def dumps(self) -> str:
+        """Every key as one `key = value` line; loads() reads it back."""
+        return "".join(f"{key} = {value}\n" for key, value in self._values.items())
+
+    def loads(self, text: str, origin: str = "<config>") -> "RunConfig":
+        """Set every `key = value` line of text; origin names it in errors."""
+        for ln, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{origin}:{ln}: expected key=value, got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            self.set(key, value)
+        return self
 
     def load_file(self, path) -> "RunConfig":
         with open(path) as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{ln}: expected key=value, got {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                self.set(key, value)
-        return self
+            return self.loads(fh.read(), str(path))

@@ -13,12 +13,12 @@ follow a simple pure-pursuit rule.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .checkpoint import read_records, write_records
+from .checkpoint import read_records, replacing, write_records
 from .controller import EgoState, local_to_global
 from .errors import CorruptDataError, DataError
 from .heads import NUM_CLASSES
@@ -45,12 +45,6 @@ _PALETTE = np.array([
 ], dtype=np.float32)
 
 
-def class_name(index: int) -> str:
-    if not 0 <= index < NUM_CLASSES:
-        raise DataError(f"class index {index} outside 0..{NUM_CLASSES - 1}")
-    return CLASS_NAMES[index]
-
-
 def class_index(name: str) -> int:
     try:
         return CLASS_NAMES.index(name)
@@ -73,17 +67,6 @@ def encode_depth(meters: np.ndarray) -> np.ndarray:
     """Inverse codec: meters -> (3, ...) base-256 channels (quantized)."""
     n = np.rint(np.clip(meters / DEPTH_RANGE_M, 0.0, 1.0) * _DEPTH_DENOM).astype(np.int64)
     return np.stack([n % 256, (n // 256) % 256, n // 65536]).astype(np.float32)
-
-
-def center_crop(img: np.ndarray, out_h: int, out_w: Optional[int] = None) -> np.ndarray:
-    """Center crop over the trailing two axes; floor offsets on odd remainders."""
-    out_w = out_h if out_w is None else out_w
-    h, w = img.shape[-2], img.shape[-1]
-    if h < out_h or w < out_w:
-        raise DataError(f"cannot crop {h}x{w} to {out_h}x{out_w}")
-    top = (h - out_h) // 2
-    left = (w - out_w) // 2
-    return img[..., top:top + out_h, left:left + out_w].copy()
 
 
 @dataclass
@@ -290,7 +273,7 @@ def save_dataset(directory, samples: List[Sample], seeds: List[int]) -> None:
         fname = f"{i:06d}.rec"
         write_records(os.path.join(directory, fname), _sample_to_arrays(sample))
         lines.append(f"{i} {fname} {seed}")
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
+    with replacing(os.path.join(directory, MANIFEST_NAME), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

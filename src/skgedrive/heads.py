@@ -11,8 +11,6 @@ lidar_bev histograms raw points into above/below-ground bins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import autodiff as ad
@@ -47,7 +45,6 @@ class BevConfig:
 class BevGrid:
     """One-hot class occupancy per cell, ego at the bottom-center row."""
     occupancy: np.ndarray              # (B, 23, Hb, Wb) in {0,1}
-    lidar_hist: Optional[np.ndarray] = None  # (B, 2, Hb, Wb) counts
 
 
 def seg_argmax(logits: np.ndarray) -> np.ndarray:

@@ -27,6 +27,8 @@ from .heads import (BevConfig, CameraConfig, NUM_CLASSES, SegDecoder, build_sdc,
                     lidar_bev, seg_argmax)
 from .skge import SkipFusion, SkipRoute, parse_route
 
+_NO_POINTS = np.zeros((4, 0), dtype=np.float32)
+
 
 @dataclass
 class ModelOutput:
@@ -82,11 +84,7 @@ class DrivingModel(nn.Module):
         grid = build_sdc(cls, batch["depth_m"], self.cam, self.bev)
         channels = [grid.occupancy]
         if self.use_lidar:
-            hist = batch.get("lidar_hist")
-            if hist is None:
-                hist = np.zeros((cls.shape[0], 2, self.bev.size, self.bev.size),
-                                dtype=np.float32)
-            channels.append(hist)
+            channels.append(np.stack([lidar_bev(pts, self.bev) for pts in batch["lidar"]]))
         sdc = Tensor(np.concatenate(channels, axis=1).astype(dtype))
 
         feats_b = self.enc_b.forward_stages(sdc)
@@ -102,29 +100,25 @@ class DrivingModel(nn.Module):
                            ss_prob=ctrl.ss_prob, latent=ctrl.latent)
 
 
-def make_batch(samples: List[Sample], use_lidar: bool = False) -> Dict[str, np.ndarray]:
-    """Stack Samples into the numpy batch dict the model consumes."""
+def make_batch(samples: List[Sample]) -> Dict[str, np.ndarray]:
+    """Stack Samples into the numpy batch dict the model consumes.
+
+    "lidar" is a list of each sample's raw (4, N) points, N = 0 when it
+    has none; a lidar model bins them onto its own top-down grid.
+    """
     rgb = np.stack([s.rgb for s in samples])
     depth_m = np.stack([decode_depth(s.depth_rgb) for s in samples])
     route_local = np.stack([global_to_local(s.route_point, s.ego()) for s in samples])
     speed = np.array([[s.speed] for s in samples], dtype=np.float64)
-    batch = {
+    return {
         "rgb": rgb, "depth_m": depth_m, "route_local": route_local, "speed": speed,
         "seg_gt": np.stack([s.seg_gt for s in samples]),
         "waypoints_gt": np.stack([s.waypoints_gt for s in samples]),
         "controls_gt": np.stack([s.controls_gt for s in samples]),
         "tl_gt": np.array([[s.tl_gt] for s in samples], dtype=np.float64),
         "ss_gt": np.array([[s.ss_gt] for s in samples], dtype=np.float64),
+        "lidar": [s.lidar if s.lidar is not None else _NO_POINTS for s in samples],
     }
-    if use_lidar:
-        size = samples[0].rgb.shape[-1]
-        bev = BevConfig(size=size)
-        hists = []
-        for s in samples:
-            pts = s.lidar if s.lidar is not None else np.zeros((4, 0), dtype=np.float32)
-            hists.append(lidar_bev(pts, bev))
-        batch["lidar_hist"] = np.stack(hists)
-    return batch
 
 
 def build_model(cfg, rng: Optional[np.random.Generator] = None) -> DrivingModel:
@@ -136,7 +130,6 @@ def build_model(cfg, rng: Optional[np.random.Generator] = None) -> DrivingModel:
         embed_dim=int(cfg["backbone.embed_dim"]),
         depths=tuple(int(x) for x in str(cfg["backbone.depths"]).split(",")),
         heads=tuple(int(x) for x in str(cfg["backbone.heads"]).split(",")),
-        variant_name=str(cfg["backbone.variant"]),
     )
     bev = BevConfig(size=int(cfg["bev.size"]),
                     resolution_m=float(cfg["bev.resolution_m"]))

@@ -17,9 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import ContractError, CorruptDataError, DataError
-from .training import l1_loss
+from .errors import ContractError, CorruptDataError, DataError, ShapeError
 
 PENALTIES: Dict[str, float] = {
     "ped": 0.50,
@@ -75,10 +73,12 @@ def accuracy(preds, gts) -> float:
 
 
 def mae(pred, gt) -> float:
-    """Mean absolute error; the same arithmetic as the L1 training loss."""
-    p = pred if isinstance(pred, Tensor) else Tensor(np.asarray(pred))
-    g = gt if isinstance(gt, Tensor) else Tensor(np.asarray(gt), dtype=p.dtype)
-    return l1_loss(p, g).item()
+    """Mean absolute error in pred's dtype; the same arithmetic as the L1 training loss."""
+    p = np.asarray(pred)
+    g = np.asarray(gt, dtype=p.dtype)
+    if p.shape != g.shape:
+        raise ShapeError(f"prediction {p.shape} vs ground truth {g.shape}")
+    return float(np.abs(p - g).mean())
 
 
 def route_completion(log: DriveLog) -> float:

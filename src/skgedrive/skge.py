@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,25 +43,6 @@ class SkipRoute:
         if not self.sources:
             return str(self.target)
         return ",".join(str(s) for s in self.sources) + "->" + str(self.target)
-
-
-def route_code(route) -> int:
-    """Encode a route as one integer: sources bitmask * 10 + target.
-
-    Lets checkpoints carry the route in a float metadata slot.
-    """
-    if not isinstance(route, SkipRoute):
-        route = parse_route(str(route))
-    mask = sum(1 << (s - 1) for s in route.sources)
-    return mask * 10 + route.target
-
-
-def route_from_code(code: int) -> SkipRoute:
-    code = int(code)
-    target = code % 10
-    mask = code // 10
-    sources = tuple(s for s in range(1, 5) if mask & (1 << (s - 1)))
-    return SkipRoute(sources, target)
 
 
 def parse_route(text: str) -> SkipRoute:
@@ -124,31 +104,20 @@ def bilinear_resize(src: Tensor, out_h: int, out_w: int) -> Tensor:
     return ad.transpose(x, (0, 1, 3, 2))
 
 
-def channel_adapt(src: Tensor, proj: Optional[nn.Linear]) -> Tensor:
-    """Per-pixel linear projection of the channel axis; identity when proj is None."""
-    if proj is None:
-        return src
-    return proj(src)
-
-
 class SkipFusion(nn.Module):
     """Learned adapters for one route, applied to a stage-feature dict.
 
-    fuse returns target + sum over sources of adapt(resize(source)); with
-    no sources the target stage feature is returned unmodified.
+    fuse returns target + sum over sources of adapt(resize(source)), where
+    each source has its own bias-free linear map onto the target's
+    channels; with no sources the target stage feature is returned
+    unmodified.
     """
 
     def __init__(self, route: SkipRoute, stage_channels, rng: np.random.Generator):
         self.route = route
-        self.adapters = []
-        self._adapter_for: Dict[int, Optional[nn.Linear]] = {}
         ct = stage_channels(route.target)
-        for s in route.sources:
-            cs = stage_channels(s)
-            proj = None if cs == ct else nn.Linear(cs, ct, rng, bias=False)
-            self._adapter_for[s] = proj
-            if proj is not None:
-                self.adapters.append(proj)
+        self.adapters = [nn.Linear(stage_channels(s), ct, rng, bias=False)
+                         for s in route.sources]
 
     def fuse(self, stage_feats) -> Tensor:
         route = self.route
@@ -156,25 +125,8 @@ class SkipFusion(nn.Module):
             raise ConfigError(f"route target stage {route.target} missing from features")
         out = stage_feats[route.target]
         th, tw = out.shape[1], out.shape[2]
-        for s in route.sources:
+        for s, adapter in zip(route.sources, self.adapters):
             if s not in stage_feats:
                 raise ConfigError(f"route source stage {s} missing from features")
-            resized = bilinear_resize(stage_feats[s], th, tw)
-            out = ad.add(out, channel_adapt(resized, self._adapter_for[s]))
+            out = ad.add(out, adapter(bilinear_resize(stage_feats[s], th, tw)))
         return out
-
-    def forward(self, stage_feats) -> Tensor:
-        return self.fuse(stage_feats)
-
-
-def fuse(stage_feats, route: SkipRoute, fusion: Optional[SkipFusion] = None) -> Tensor:
-    """Functional form: fuse stage_feats along route using fusion's adapters."""
-    if fusion is None:
-        for s in (route.target,) + route.sources:
-            if s not in stage_feats:
-                raise ConfigError(f"route references stage {s} missing from features")
-        fusion = SkipFusion(route, lambda s: stage_feats[s].shape[-1],
-                            np.random.default_rng(0))
-    if fusion.route != route:
-        raise ContractError("fusion module was built for a different route")
-    return fusion.fuse(stage_feats)

@@ -12,22 +12,25 @@ and training stops after 15.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from . import checkpoint
+from . import checkpoint, scoring
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericError, ShapeError
+from .heads import NUM_CLASSES, seg_argmax
 from .model import DrivingModel, ModelOutput, build_model, make_batch
-from .skge import route_code
 
 TASKS = ("seg", "tl", "ss", "st", "th", "br", "wp")
+REPORT_FIELDS = ("ss_metric", "wp_metric", "str_metric", "thr_metric",
+                 "brk_metric", "redl_metric", "stops_metric")
 
 
 def seg_loss(pred: Tensor, gt: Tensor) -> Tensor:
@@ -162,20 +165,46 @@ def _grad_norm(params: List[Tensor]) -> float:
     return math.sqrt(total)
 
 
-def evaluate(model: DrivingModel, samples, weights: TaskWeights,
-             batch_size: int, use_lidar: bool) -> tuple:
-    """(weighted total, per-task means) over samples, without recording."""
-    sums = np.zeros(7)
-    count = 0
+def evaluate(model: DrivingModel, samples, batch_size: int) -> tuple:
+    """(per-task mean losses in TASKS order, the REPORT_FIELDS metrics) over
+    samples, without recording.
+
+    ss_metric is the mean per-class IoU of the argmax segmentation, the
+    wp/str/thr/brk metrics are mean absolute errors, and redl/stops are
+    traffic-light and stop-sign accuracies at a 0.5 threshold.
+    """
+    sums = np.zeros(len(TASKS))
+    seg_pred, seg_gt, preds, targets = [], [], [], []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        batch = make_batch(chunk, use_lidar)
+        batch = make_batch(chunk)
         out = model.forward(batch)
         losses = compute_task_losses(out, batch)
         sums += np.array([losses[t].item() for t in TASKS]) * len(chunk)
-        count += len(chunk)
-    means = sums / count
-    return float(np.dot(means, weights.alphas)), dict(zip(TASKS, means))
+
+        cls = seg_argmax(out.seg_logits.data)
+        seg_pred.append(np.eye(NUM_CLASSES, dtype=bool)[cls].transpose(0, 3, 1, 2))
+        seg_gt.append(batch["seg_gt"].astype(bool))
+        preds.append((out.waypoints.data, out.steering.data, out.throttle.data,
+                      out.brake.data, out.tl_prob.data, out.ss_prob.data))
+        targets.append((batch["waypoints_gt"], *np.split(batch["controls_gt"], 3, axis=1),
+                        batch["tl_gt"], batch["ss_gt"]))
+
+    wp, st, th, br, tl, ss = (np.concatenate(c) for c in zip(*preds))
+    wp_gt, st_gt, th_gt, br_gt, tl_gt, ss_gt = (np.concatenate(c) for c in zip(*targets))
+    # iou takes the class axis first
+    _, mean_iou = scoring.iou(np.concatenate(seg_pred).transpose(1, 0, 2, 3),
+                              np.concatenate(seg_gt).transpose(1, 0, 2, 3))
+    metrics = {
+        "ss_metric": mean_iou,
+        "wp_metric": scoring.mae(wp, wp_gt),
+        "str_metric": scoring.mae(st, st_gt),
+        "thr_metric": scoring.mae(th, th_gt),
+        "brk_metric": scoring.mae(br, br_gt),
+        "redl_metric": scoring.accuracy(tl, tl_gt),
+        "stops_metric": scoring.accuracy(ss, ss_gt),
+    }
+    return sums / len(samples), metrics
 
 
 def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
@@ -187,7 +216,6 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
     model = build_model(cfg, rng)
     if resume is not None:
         checkpoint.load_model(resume, model)
-    use_lidar = bool(int(cfg["bev.use_lidar"]))
     batch_size = int(cfg["train.batch_size"])
     patience_lr = int(cfg["train.patience_lr"])
     patience_stop = int(cfg["train.patience_stop"])
@@ -203,19 +231,21 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                 weight_decay=float(cfg["train.weight_decay"]))
     state = TrainState(lr=opt.lr)
 
-    lines = []
+    # one flushed ndjson line per epoch, so a killed run keeps the epochs it finished
+    log_file = open(metrics_path, "w") if metrics_path is not None else contextlib.nullcontext()
+    with log_file as log:
 
-    def emit(record):
-        lines.append(json.dumps(record))
+        def emit(record):
+            if log is not None:
+                log.write(json.dumps(record) + "\n")
+                log.flush()
 
-    if resume is not None:
-        val0, task0 = evaluate(model, val_set, weights, batch_size, use_lidar)
-        emit({"epoch": 0, "lr": opt.lr, "val_loss": val0,
-              **{f"loss_{t}": v for t, v in task0.items()},
-              **{f"alpha_{t}": a for t, a in weights.as_dict().items()}})
+        if resume is not None:
+            task0, _ = evaluate(model, val_set, batch_size)
+            emit({"epoch": 0, "lr": opt.lr, "val_loss": float(np.dot(task0, weights.alphas)),
+                  **{f"loss_{t}": float(v) for t, v in zip(TASKS, task0)},
+                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()}})
 
-    meta_static = _model_meta(cfg)
-    try:
         for epoch in range(1, epochs + 1):
             state.epoch = epoch
             perm = rng.permutation(len(train_set))
@@ -223,7 +253,7 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
             seen = 0
             for bi, start in enumerate(range(0, len(perm), batch_size)):
                 chunk = [train_set[i] for i in perm[start:start + batch_size]]
-                batch = make_batch(chunk, use_lidar)
+                batch = make_batch(chunk)
                 with Tape() as tape:
                     try:
                         out = model.forward(batch)
@@ -251,13 +281,15 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
 
             task_means = task_sums / seen
             train_total = float(np.dot(task_means, weights.alphas))
-            val_loss, _ = evaluate(model, val_set, weights, batch_size, use_lidar)
+            val_means, _ = evaluate(model, val_set, batch_size)
+            val_loss = float(np.dot(val_means, weights.alphas))
 
             if val_loss < state.best_val:
                 state.best_val = val_loss
                 state.stagnant = 0
-                checkpoint.save_model(out_ckpt, model, {
-                    **meta_static, "epoch": epoch, "val_loss": val_loss})
+                checkpoint.save_model(out_ckpt, model,
+                                      {"epoch": epoch, "val_loss": val_loss},
+                                      config=cfg.dumps())
             else:
                 state.stagnant += 1
                 if state.stagnant % patience_lr == 0:
@@ -272,29 +304,4 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
             if state.stagnant >= patience_stop:
                 state.stopped_early = True
                 break
-    finally:
-        if metrics_path is not None and lines:
-            with open(metrics_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
     return state
-
-
-def _model_meta(cfg) -> Dict[str, float]:
-    """Numeric hyperparameters embedded in checkpoints for self-contained reload."""
-    depths = [int(x) for x in str(cfg["backbone.depths"]).split(",")]
-    heads = [int(x) for x in str(cfg["backbone.heads"]).split(",")]
-    meta = {
-        "input_size": int(cfg["backbone.input_size"]),
-        "patch": int(cfg["backbone.patch"]),
-        "window": int(cfg["backbone.window"]),
-        "embed_dim": int(cfg["backbone.embed_dim"]),
-        "bev_size": int(cfg["bev.size"]),
-        "bev_resolution_m": float(cfg["bev.resolution_m"]),
-        "use_lidar": int(cfg["bev.use_lidar"]),
-        "route_a": route_code(cfg["skge.route_a"]),
-        "route_b": route_code(cfg["skge.route_b"]),
-    }
-    for i in range(4):
-        meta[f"depth{i}"] = depths[i]
-        meta[f"head{i}"] = heads[i]
-    return meta

@@ -426,12 +426,3 @@ def test_grad_check_params_requires_float64():
     w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError):
         grad_check_params(lambda: ad.sum_(w), [("w", w)])
-
-
-def test_tensor_operator_sugar():
-    x = _t([2.0])
-    with Tape() as tape:
-        y = ad.sum_((x * 3.0 + 1.0 - 0.5) / 2.0)
-        tape.backward(y)
-    np.testing.assert_allclose(y.numpy(), [3.25])
-    np.testing.assert_allclose(x.grad, [1.5])

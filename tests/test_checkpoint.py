@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from skgedrive.checkpoint import (MAGIC, VERSION, load_model, read_meta,
+from skgedrive.checkpoint import (MAGIC, VERSION, config_text, load_model,
                                   read_records, save_model, write_records)
 from skgedrive.config import RunConfig
 from skgedrive.errors import ConfigError, CorruptDataError
@@ -116,12 +116,25 @@ def test_load_model_missing_record(tmp_path):
         load_model(path, model)
 
 
-def test_read_meta_without_model(tmp_path):
-    path = tmp_path / "m.ckpt"
+def test_config_record_roundtrip(tmp_path):
     cfg = RunConfig()
+    cfg.set("skge.route_b", "1,2,3->4")
     model = build_model(cfg, np.random.default_rng(1))
-    save_model(path, model, {"epoch": 7.0})
-    assert read_meta(path) == {"epoch": 7.0}
+    path = tmp_path / "m.ckpt"
+    save_model(path, model, {"epoch": 7.0}, config=cfg.dumps())
+    arrays = read_records(path)
+    text = cfg.dumps()
+    assert arrays["config"].shape == (len(text.encode("utf-8")),)
+    assert config_text(arrays, path) == text
+    # load_model skips the config record in its extra-record check
+    assert load_model(path, build_model(cfg, np.random.default_rng(2))) == {"epoch": 7.0}
+
+
+def test_missing_config_record_is_config_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(path, build_model(RunConfig(), np.random.default_rng(1)))
+    with pytest.raises(ConfigError, match="'config' record"):
+        config_text(read_records(path), path)
 
 
 class _FailingArray:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from skgedrive.cli import REPORT_FIELDS, evaluate_dataset, main
+from skgedrive.checkpoint import save_model
+from skgedrive.cli import REPORT_FIELDS, _load_model_from_ckpt, evaluate_dataset, main
 from skgedrive.config import RunConfig
 from skgedrive.data import load_dataset, synth_scene
 from skgedrive.model import build_model
@@ -69,6 +70,36 @@ def test_train_then_eval_roundtrip(tmp_path, capsys):
     assert code == 0
     for field in REPORT_FIELDS + ("test_metric",):
         assert f"{field}=" in stdout
+
+
+def test_train_with_config_file_then_eval(tmp_path, capsys):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "3", "--seed", "0")
+    config = tmp_path / "run.cfg"
+    config.write_text("# narrower encoders\nbackbone.embed_dim = 12\n")
+    ckpt = tmp_path / "model.ckpt"
+    code, _, stderr = _run(capsys, "train", "--data", str(data), "--out", str(ckpt),
+                           "--config", str(config), "--epochs", "1",
+                           "--skge-route", "1,2,3->4")
+    assert code == 0, stderr
+    model, cfg = _load_model_from_ckpt(ckpt)
+    assert cfg["backbone.embed_dim"] == 12
+    assert str(model.route_a) == str(model.route_b) == "1,2,3->4"
+
+    code, stdout, stderr = _run(capsys, "eval", "--data", str(data), "--ckpt", str(ckpt))
+    assert code == 0, stderr
+    for field in REPORT_FIELDS + ("test_metric",):
+        assert f"{field}=" in stdout
+
+
+def test_eval_without_config_record_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    ckpt = tmp_path / "bare.ckpt"
+    save_model(ckpt, build_model(RunConfig(), np.random.default_rng(0)))
+    code, _, stderr = _run(capsys, "eval", "--data", str(data), "--ckpt", str(ckpt))
+    assert code == 2
+    assert "'config' record" in stderr
 
 
 def test_train_rejects_missing_dataset(tmp_path, capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from skgedrive.controller import global_to_local
-from skgedrive.data import (CLASS_NAMES, SceneConfig, center_crop, class_index,
-                            class_name, decode_depth, encode_depth,
-                            load_dataset, read_manifest, save_dataset,
-                            synth_scene, validate_sample)
+from skgedrive.data import (CLASS_NAMES, MANIFEST_NAME, SceneConfig, class_index,
+                            decode_depth, encode_depth, load_dataset,
+                            read_manifest, save_dataset, synth_scene,
+                            validate_sample)
 from skgedrive.errors import CorruptDataError, DataError
 from skgedrive.heads import NUM_CLASSES
 
@@ -25,10 +25,7 @@ def test_class_table_has_23_entries():
 
 def test_class_name_index_roundtrip():
     for i, name in enumerate(CLASS_NAMES):
-        assert class_name(i) == name
         assert class_index(name) == i
-    with pytest.raises(DataError):
-        class_name(23)
     with pytest.raises(DataError):
         class_index("Spaceship")
 
@@ -68,16 +65,6 @@ def test_depth_rejects_out_of_range():
         decode_depth(np.full((3, 1, 1), 256.0))
     with pytest.raises(DataError):
         decode_depth(np.full((3, 1, 1), -1.0))
-
-
-def test_center_crop():
-    img = np.arange(36, dtype=np.float32).reshape(6, 6)
-    out = center_crop(img, 4)
-    np.testing.assert_array_equal(out, img[1:5, 1:5])
-    batched = center_crop(np.stack([img, img]), 2, 4)
-    assert batched.shape == (2, 2, 4)
-    with pytest.raises(DataError):
-        center_crop(img, 7)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -192,3 +179,22 @@ def test_count_mismatch_detected(tmp_path, small_samples):
         fh.write("\n".join(lines[:-1]) + "\n")  # drop one entry, keep the count
     with pytest.raises(CorruptDataError):
         read_manifest(tmp_path)
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path, small_samples,
+                                                       monkeypatch):
+    save_dataset(tmp_path, small_samples[:3], [0, 1, 2])
+    manifest = tmp_path / MANIFEST_NAME
+    before = manifest.read_bytes()
+    real_replace = os.replace
+
+    def replace_failing_on_manifest(src, dst):
+        if os.fspath(dst).endswith(MANIFEST_NAME):
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_on_manifest)
+    with pytest.raises(OSError, match="injected failure"):
+        save_dataset(tmp_path, small_samples[:1], [7])
+    assert manifest.read_bytes() == before
+    assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []

@@ -4,7 +4,7 @@ import pytest
 from skgedrive.config import RunConfig
 from skgedrive.data import synth_scene
 from skgedrive.errors import ConfigError
-from skgedrive.heads import NUM_CLASSES
+from skgedrive.heads import NUM_CLASSES, BevConfig, lidar_bev
 from skgedrive.data import SceneConfig
 from skgedrive.model import DrivingModel, build_model, make_batch
 
@@ -13,7 +13,7 @@ def _forward(cfg=None, n=2, use_lidar=False, seed=0):
     cfg = cfg or RunConfig()
     scene = SceneConfig(with_lidar=use_lidar)
     samples = [synth_scene(seed + i, scene) for i in range(n)]
-    batch = make_batch(samples, use_lidar=use_lidar)
+    batch = make_batch(samples)
     model = build_model(cfg, np.random.default_rng(seed))
     return model, batch, model.forward(batch)
 
@@ -68,8 +68,22 @@ def test_lidar_channels_change_encoder_b_input():
     patch = model.backbone_config.patch_size
     expected_in = (NUM_CLASSES + 2) * patch * patch
     assert model.enc_b.patch_embed.proj.in_features == expected_in
-    assert "lidar_hist" in batch
+    assert "lidar" in batch
     assert np.all(np.isfinite(out.waypoints.data))
+
+
+def test_lidar_channels_use_the_configured_grid_resolution():
+    cfg = RunConfig()
+    cfg.set("bev.use_lidar", 1)
+    cfg.set("bev.resolution_m", 0.5)
+    samples = [synth_scene(i, SceneConfig(with_lidar=True)) for i in range(2)]
+    model = build_model(cfg, np.random.default_rng(0))
+    seen = []
+    encode = model.enc_b.forward_stages
+    model.enc_b.forward_stages = lambda x: seen.append(x.data) or encode(x)
+    model.forward(make_batch(samples))
+    want = np.stack([lidar_bev(s.lidar, BevConfig(64, 0.5)) for s in samples])
+    np.testing.assert_array_equal(seen[0][:, NUM_CLASSES:], want)
 
 
 def test_batching_matches_single_samples():

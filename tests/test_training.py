@@ -1,18 +1,24 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import skgedrive
 from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor
-from skgedrive.checkpoint import read_meta
+from skgedrive.checkpoint import config_text, load_model, read_records
 from skgedrive.config import RunConfig
 from skgedrive.data import synth_scene
 from skgedrive.errors import ContractError, DataError, ShapeError
 from skgedrive.model import build_model, make_batch
-from skgedrive.training import (TASKS, AdamW, TaskWeights, compute_task_losses,
-                                evaluate, fit, l1_loss, mgn_update, seg_loss,
-                                total_loss)
+from skgedrive.training import (REPORT_FIELDS, TASKS, AdamW, TaskWeights,
+                                compute_task_losses, evaluate, fit, l1_loss,
+                                mgn_update, seg_loss, total_loss)
 
 from oracles import bce_reference, dice_reference
 
@@ -142,17 +148,65 @@ def test_evaluate_matches_manual_mean():
     samples = [synth_scene(i) for i in range(3)]
     model = build_model(RunConfig(), np.random.default_rng(1))
     weights = TaskWeights()
-    val, per_task = evaluate(model, samples, weights, batch_size=2,
-                             use_lidar=False)
+    per_task, _ = evaluate(model, samples, batch_size=2)
+    val = float(np.dot(per_task, weights.alphas))
     sums = np.zeros(7)
     for s in samples:
         batch = make_batch([s])
         losses = compute_task_losses(model.forward(batch), batch)
         sums += np.array([losses[t].item() for t in TASKS])
-    np.testing.assert_allclose([per_task[t] for t in TASKS], sums / 3,
+    np.testing.assert_allclose(per_task, sums / 3,
                                rtol=0, atol=1e-6)
     assert val == pytest.approx(float(np.dot(sums / 3, weights.alphas)),
                                 abs=1e-6)
+
+
+def test_evaluate_does_not_depend_on_batch_size():
+    # float64, so that GEMM rounding that varies with the batch stays far
+    # below the tolerances
+    samples = [synth_scene(i) for i in range(4)]
+    model = build_model(RunConfig(), np.random.default_rng(1)).astype(np.float64)
+    losses1, metrics1 = evaluate(model, samples, batch_size=1)
+    losses3, metrics3 = evaluate(model, samples, batch_size=3)
+    assert list(metrics1) == list(REPORT_FIELDS) == list(metrics3)
+    for field in REPORT_FIELDS:
+        assert metrics1[field] == pytest.approx(metrics3[field], rel=0, abs=1e-12), field
+    np.testing.assert_allclose(losses1, losses3, rtol=0, atol=1e-6)
+
+
+def test_killed_fit_keeps_finished_epochs_in_metrics(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    metrics = tmp_path / "metrics.ndjson"
+    script = textwrap.dedent(f"""
+        import os, signal
+        from skgedrive import training
+        from skgedrive.config import RunConfig
+        from skgedrive.data import synth_scene
+
+        evaluate = training.evaluate
+        calls = []
+
+        def evaluate_killed_in_epoch_2(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return evaluate(*args)
+
+        training.evaluate = evaluate_killed_in_epoch_2
+        cfg = RunConfig()
+        cfg.set("train.batch_size", 2)
+        training.fit([synth_scene(i) for i in range(3)], cfg, {str(ckpt)!r},
+                     metrics_path={str(metrics)!r}, epochs=3)
+    """)
+    src = os.path.dirname(os.path.dirname(skgedrive.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    records = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [1]
+    assert ckpt.exists()
 
 
 def test_fit_writes_checkpoint_metrics_and_improves(tmp_path):
@@ -165,8 +219,9 @@ def test_fit_writes_checkpoint_metrics_and_improves(tmp_path):
     state = fit(samples, cfg, ckpt, metrics_path=metrics, epochs=3)
     assert state.epoch == 3
     assert ckpt.exists()
-    meta = read_meta(ckpt)
-    assert meta["input_size"] == 64.0
+    saved = RunConfig().loads(config_text(read_records(ckpt), ckpt))
+    assert saved["backbone.input_size"] == 64
+    meta = load_model(ckpt, build_model(saved))
     assert meta["epoch"] >= 1.0
     records = [json.loads(line) for line in open(metrics)]
     assert len(records) == 3
