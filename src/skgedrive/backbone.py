@@ -57,10 +57,6 @@ class BackboneConfig:
                     f"stage {s + 1} channels {self.stage_channels(s + 1)} not divisible "
                     f"by head count {self.heads[s]}")
 
-    def stage_extent(self, stage: int) -> int:
-        """Spatial side length of 1-indexed stage: input/(patch * 2^(stage-1))."""
-        return self.input_size // self.patch_size // (2 ** (stage - 1))
-
     def stage_channels(self, stage: int) -> int:
         return self.embed_dim * (2 ** (stage - 1))
 

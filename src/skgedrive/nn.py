@@ -56,9 +56,6 @@ class Module:
             p.grad = None
         return self
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -46,19 +46,31 @@ class DriveLog:
                 raise DataError(f"route {self.route_id}: unknown infraction {kind!r}")
 
 
-def iou(pred_mask: np.ndarray, gt_mask: np.ndarray) -> tuple:
-    """Per-class IoU and their mean over leading class axis; empty/empty -> 1."""
-    pred = np.asarray(pred_mask).astype(bool)
-    gt = np.asarray(gt_mask).astype(bool)
+def iou_counts(pred_mask: np.ndarray, gt_mask: np.ndarray) -> np.ndarray:
+    """(2, C) integer intersection and union pixel counts per class of the
+    leading class axis; a 2-D mask is one class. Counts of several batches
+    add up to the counts of their concatenation."""
+    pred = np.asarray(pred_mask, dtype=bool)
+    gt = np.asarray(gt_mask, dtype=bool)
     if pred.shape != gt.shape:
         raise ContractError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
     if pred.ndim == 2:
         pred, gt = pred[None], gt[None]
     axes = tuple(range(1, pred.ndim))
-    inter = np.logical_and(pred, gt).sum(axis=axes).astype(np.float64)
-    union = np.logical_or(pred, gt).sum(axis=axes).astype(np.float64)
+    return np.stack([np.logical_and(pred, gt).sum(axis=axes),
+                     np.logical_or(pred, gt).sum(axis=axes)])
+
+
+def iou_from_counts(counts) -> tuple:
+    """Per-class IoU and their mean from iou_counts; empty/empty -> 1."""
+    inter, union = np.asarray(counts, dtype=np.float64)
     per_class = np.where(union > 0, inter / np.maximum(union, 1.0), 1.0)
     return per_class, float(per_class.mean())
+
+
+def iou(pred_mask: np.ndarray, gt_mask: np.ndarray) -> tuple:
+    """Per-class IoU and their mean over leading class axis; empty/empty -> 1."""
+    return iou_from_counts(iou_counts(pred_mask, gt_mask))
 
 
 def accuracy(preds, gts) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
@@ -64,24 +65,31 @@ def total_loss(losses: Sequence[Tensor], weights: TaskWeights) -> Tensor:
     return total
 
 
+def _inverse_norm(alphas, norms):
+    """alpha_t / max(n_t, 1e-12); mgn_update's new weights are 7 f_t / sum(f)."""
+    return alphas / np.maximum(norms, 1e-12)
+
+
 def mgn_update(weights: TaskWeights, norms) -> TaskWeights:
-    """Scale each weight by mean-norm/task-norm, then renormalize to sum 7."""
+    """Scale each weight by mean-norm/task-norm, then renormalize to sum 7.
+
+    The mean is common to every task and cancels in the renormalization.
+    """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.shape != (7,):
         raise ContractError(f"need 7 gradient norms, got shape {norms.shape}")
     if np.all(norms == 0.0):
         warnings.warn("all task gradient norms are zero; task weights left unchanged")
         return TaskWeights(weights.alphas.copy())
-    floored = np.maximum(norms, 1e-12)
-    new = weights.alphas * (floored.mean() / floored)
-    new *= 7.0 / new.sum()
-    return TaskWeights(new)
+    f = _inverse_norm(weights.alphas, norms)
+    return TaskWeights(f * (7.0 / f.sum()))
 
 
 class AdamW:
     """Adam with decoupled weight decay applied to every parameter.
 
-    Parameters never touched by the loss still shrink by the factor
+    The moments are kept in each parameter's dtype. Parameters never touched
+    by the loss still have their moments decayed and shrink by the factor
     (1 - lr * weight_decay) each step.
     """
 
@@ -94,24 +102,33 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
-        self._v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         b1, b2 = self.betas
         self.t += 1
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        # lr / bc1 * m / (sqrt(v / bc2) + eps) with sqrt(bc2) folded into the
+        # scalars, which stay Python floats: an np.float64 scalar would
+        # promote float32 arrays to float64
+        root_bc2 = math.sqrt(1.0 - b2 ** self.t)
+        step = self.lr * root_bc2 / (1.0 - b1 ** self.t)
+        eps = self.eps * root_bc2
+        decay = self.lr * self.weight_decay
         for p, m, v in zip(self.params, self._m, self._v):
-            g = np.zeros_like(p.data, dtype=np.float64) if p.grad is None \
-                else p.grad.astype(np.float64)
             m *= b1
-            m += (1.0 - b1) * g
             v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = ((1.0 - self.lr * self.weight_decay) * p.data.astype(np.float64)
-                      - self.lr * update).astype(p.data.dtype)
+            if p.grad is not None:
+                m += (1.0 - b1) * p.grad
+                v += (1.0 - b2) * np.square(p.grad)
+            d = np.sqrt(v)
+            d += eps
+            u = step * m
+            u /= d
+            u += decay * p.data
+            # one subtraction from the weights: at the defaults the factor
+            # (1 - lr * wd) = 1 - 1e-7 would round to 1 - 2**-23 in float32
+            p.data = p.data - u
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -161,8 +178,47 @@ def _grad_norm(params: List[Tensor]) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            g = p.grad.astype(np.float64, order="C").reshape(-1)
+            total += float(np.dot(g, g))
     return math.sqrt(total)
+
+
+def rebalance(tape: Tape, losses: Dict[str, Tensor], weights: TaskWeights,
+              params: List[Tensor]) -> tuple:
+    """(new TaskWeights, weighted norms) from one backward pass per task;
+    leaves the gradient of total_loss under the new weights in p.grad.
+
+    The norms are taken on the weighted task losses, n_t = alpha_t |g_t|:
+    the multiplicative update then settles where every task pulls with
+    equal gradient magnitude, instead of compounding toward a single
+    dominant task. The new weights are 7 f_t / sum(f), so the total
+    gradient is sum_t f_t g_t scaled by 7 / sum(f), and no further backward
+    pass is needed. When every norm is zero, every g_t is zero too.
+    """
+    acc = [None] * len(params)
+    norms, factors = [], []
+    for alpha, t in zip(weights.alphas, TASKS):
+        for p in params:
+            p.grad = None
+        tape.backward(losses[t])
+        norm = float(alpha) * _grad_norm(params)
+        f = float(_inverse_norm(alpha, norm))
+        for i, p in enumerate(params):
+            if p.grad is None:
+                continue
+            # acc holds new arrays only, never one read from p.grad
+            if acc[i] is None:
+                acc[i] = f * p.grad
+            else:
+                acc[i] += f * p.grad
+        norms.append(norm)
+        factors.append(f)
+    scale = 7.0 / sum(factors)
+    for p, a in zip(params, acc):
+        if a is not None:
+            a *= scale
+        p.grad = a
+    return mgn_update(weights, norms), norms
 
 
 def evaluate(model: DrivingModel, samples, batch_size: int) -> tuple:
@@ -174,7 +230,10 @@ def evaluate(model: DrivingModel, samples, batch_size: int) -> tuple:
     traffic-light and stop-sign accuracies at a 0.5 threshold.
     """
     sums = np.zeros(len(TASKS))
-    seg_pred, seg_gt, preds, targets = [], [], [], []
+    # per-class intersection and union counts, so memory stays flat in the
+    # number of samples
+    seg_counts = np.zeros((2, NUM_CLASSES), dtype=np.int64)
+    preds, targets = [], []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         batch = make_batch(chunk)
@@ -182,9 +241,11 @@ def evaluate(model: DrivingModel, samples, batch_size: int) -> tuple:
         losses = compute_task_losses(out, batch)
         sums += np.array([losses[t].item() for t in TASKS]) * len(chunk)
 
+        # iou_counts takes the class axis first
         cls = seg_argmax(out.seg_logits.data)
-        seg_pred.append(np.eye(NUM_CLASSES, dtype=bool)[cls].transpose(0, 3, 1, 2))
-        seg_gt.append(batch["seg_gt"].astype(bool))
+        seg_counts += scoring.iou_counts(
+            np.eye(NUM_CLASSES, dtype=bool)[cls].transpose(3, 0, 1, 2),
+            batch["seg_gt"].transpose(1, 0, 2, 3))
         preds.append((out.waypoints.data, out.steering.data, out.throttle.data,
                       out.brake.data, out.tl_prob.data, out.ss_prob.data))
         targets.append((batch["waypoints_gt"], *np.split(batch["controls_gt"], 3, axis=1),
@@ -192,9 +253,7 @@ def evaluate(model: DrivingModel, samples, batch_size: int) -> tuple:
 
     wp, st, th, br, tl, ss = (np.concatenate(c) for c in zip(*preds))
     wp_gt, st_gt, th_gt, br_gt, tl_gt, ss_gt = (np.concatenate(c) for c in zip(*targets))
-    # iou takes the class axis first
-    _, mean_iou = scoring.iou(np.concatenate(seg_pred).transpose(1, 0, 2, 3),
-                              np.concatenate(seg_gt).transpose(1, 0, 2, 3))
+    _, mean_iou = scoring.iou_from_counts(seg_counts)
     metrics = {
         "ss_metric": mean_iou,
         "wp_metric": scoring.mae(wp, wp_gt),
@@ -247,6 +306,7 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                   **{f"alpha_{t}": a for t, a in weights.as_dict().items()}})
 
         for epoch in range(1, epochs + 1):
+            t0 = time.perf_counter()
             state.epoch = epoch
             perm = rng.permutation(len(train_set))
             task_sums = np.zeros(7)
@@ -261,27 +321,17 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                         raise NumericError(f"model forward failed: {e}") from None
                     losses = compute_task_losses(out, batch)
                     if bi == 0:
-                        # norms are taken on the weighted task losses: the
-                        # multiplicative update then settles where every
-                        # task pulls with equal gradient magnitude, instead
-                        # of compounding toward a single dominant task
-                        norms = []
-                        for ti, t in enumerate(TASKS):
-                            model.zero_grad()
-                            tape.backward(losses[t])
-                            norms.append(float(weights.alphas[ti])
-                                         * _grad_norm(opt.params))
-                        weights = mgn_update(weights, norms)
-                    total = total_loss([losses[t] for t in TASKS], weights)
-                    model.zero_grad()
-                    tape.backward(total)
+                        weights, norms = rebalance(tape, losses, weights, opt.params)
+                    else:
+                        opt.zero_grad()
+                        tape.backward(total_loss([losses[t] for t in TASKS], weights))
                 opt.step()
                 task_sums += np.array([losses[t].item() for t in TASKS]) * len(chunk)
                 seen += len(chunk)
 
             task_means = task_sums / seen
             train_total = float(np.dot(task_means, weights.alphas))
-            val_means, _ = evaluate(model, val_set, batch_size)
+            val_means, val_metrics = evaluate(model, val_set, batch_size)
             val_loss = float(np.dot(val_means, weights.alphas))
 
             if val_loss < state.best_val:
@@ -296,10 +346,14 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                     opt.lr /= 2.0
                     state.lr = opt.lr
 
+            wall = time.perf_counter() - t0
             emit({"epoch": epoch, "lr": opt.lr, "train_loss": train_total,
                   "val_loss": val_loss,
                   **{f"loss_{t}": float(v) for t, v in zip(TASKS, task_means)},
-                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()}})
+                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()},
+                  "wall_s": wall, "samples_per_s": seen / wall,
+                  **{f"norm_{t}": n for t, n in zip(TASKS, norms)},
+                  **{f"val_{k}": v for k, v in val_metrics.items()}})
 
             if state.stagnant >= patience_stop:
                 state.stopped_early = True

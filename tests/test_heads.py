@@ -23,9 +23,10 @@ def test_seg_argmax_tie_goes_to_lowest_class():
 
 
 def _feats(cfg, rng, b=2):
+    extent = {s: cfg.input_size // cfg.patch_size // 2 ** (s - 1) for s in range(1, 5)}
     return {s: Tensor(rng.standard_normal(
-        (b, cfg.stage_extent(s), cfg.stage_extent(s),
-         cfg.stage_channels(s))).astype(np.float32)) for s in range(1, 5)}
+        (b, extent[s], extent[s], cfg.stage_channels(s))).astype(np.float32))
+        for s in range(1, 5)}
 
 
 def test_decoder_restores_input_resolution(rng):

@@ -109,11 +109,6 @@ def test_named_parameters_nested_modules(rng):
     assert len(names) == 6
 
 
-def test_num_parameters_counts_elements(rng):
-    lin = nn.Linear(3, 4, rng)
-    assert lin.num_parameters() == 3 * 4 + 4
-
-
 def test_zero_grad_clears(rng):
     lin = _f64(nn.Linear(2, 1, rng))
     with Tape() as tape:

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from skgedrive.checkpoint import config_text, load_model, read_records
 from skgedrive.config import RunConfig
 from skgedrive.data import synth_scene
 from skgedrive.errors import ContractError, DataError, ShapeError
+from skgedrive.heads import NUM_CLASSES, seg_argmax
 from skgedrive.model import build_model, make_batch
+from skgedrive.scoring import iou
 from skgedrive.training import (REPORT_FIELDS, TASKS, AdamW, TaskWeights,
                                 compute_task_losses, evaluate, fit, l1_loss,
-                                mgn_update, seg_loss, total_loss)
+                                mgn_update, rebalance, seg_loss, total_loss)
 
 from oracles import bce_reference, dice_reference
 
@@ -133,6 +136,94 @@ def test_adamw_decay_shrinks_untouched_params():
     assert w.data[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
 
 
+def _adamw_f64_step(p, g, m, v, t, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, wd=0.001):
+    """One AdamW step in float64, cast back to p's dtype: the optimizer's
+    earlier arithmetic, kept as the reference."""
+    b1, b2 = betas
+    g = g.astype(np.float64)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    new = ((1.0 - lr * wd) * p.astype(np.float64) - lr * update).astype(p.dtype)
+    return new, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_state_keeps_parameter_dtype(dtype):
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.standard_normal(50).astype(dtype), requires_grad=True)
+    opt = AdamW([w])
+    for _ in range(3):
+        w.grad = rng.standard_normal(50).astype(dtype)
+        opt.step()
+    assert w.dtype == dtype
+    assert [a.dtype for a in opt._m + opt._v] == [np.dtype(dtype)] * 2
+
+
+def test_adamw_decay_only_matches_float64_form_bit_for_bit():
+    w = Tensor(np.random.default_rng(0).standard_normal(10_000).astype(np.float32))
+    want = w.data.copy()
+    zero = np.zeros_like(want)
+    opt = AdamW([w])
+    for t in range(1, 101):
+        opt.step()
+        want, _, _ = _adamw_f64_step(want, zero, 0.0, 0.0, t)
+    np.testing.assert_array_equal(w.data, want)
+
+
+def test_adamw_step_within_one_ulp_of_float64_form():
+    """Within 1 ulp wherever the weight outweighs the update. Where the two
+    nearly cancel, the float32 rounding of the update, a few parts in 1e7
+    of lr, can exceed an ulp of the small result."""
+    lr = 1e-4
+    rng = np.random.default_rng(1)
+    w = Tensor(rng.standard_normal(10_000).astype(np.float32), requires_grad=True)
+    w.grad = (rng.standard_normal(10_000) * 1e-2).astype(np.float32)
+    big = np.abs(w.data) >= 10 * lr
+    want, _, _ = _adamw_f64_step(w.data, w.grad, 0.0, 0.0, 1, lr=lr)
+    AdamW([w], lr=lr).step()
+    np.testing.assert_array_max_ulp(w.data[big], want[big], maxulp=1)
+    assert np.all(np.abs(w.data - want)
+                  <= np.spacing(np.abs(want)) + 4 * np.finfo(np.float32).eps * lr)
+
+
+def _assert_rebalance_matches_total_backward(tape, losses, weights, params):
+    new, norms = rebalance(tape, losses, weights, params)
+    np.testing.assert_array_equal(new.alphas, mgn_update(weights, norms).alphas)
+    combined = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    tape.backward(total_loss([losses[t] for t in TASKS], new))
+    for got, p in zip(combined, params):
+        if p.grad is None:
+            assert got is None
+            continue
+        assert np.max(np.abs(got - p.grad) / np.maximum(1.0, np.abs(p.grad))) <= 1e-10
+    return new, norms
+
+
+def test_rebalance_composes_total_gradient_on_model():
+    model = build_model(RunConfig(), np.random.default_rng(0)).astype(np.float64)
+    batch = make_batch([synth_scene(0), synth_scene(1)])
+    weights = TaskWeights(np.linspace(0.4, 1.6, 7))
+    with Tape() as tape:
+        losses = compute_task_losses(model.forward(batch), batch)
+        _, norms = _assert_rebalance_matches_total_backward(
+            tape, losses, weights, model.parameters())
+    assert min(norms) > 0.0
+
+
+def test_rebalance_floors_a_task_with_zero_gradient():
+    w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    weights = TaskWeights(np.linspace(0.5, 1.5, 7))
+    with Tape() as tape:
+        losses = {t: ad.sum_(ad.mul(ad.mul(w, w), float(i + 1))) for i, t in enumerate(TASKS)}
+        losses["br"] = ad.sum_(ad.mul(w, 0.0))
+        new, norms = _assert_rebalance_matches_total_backward(tape, losses, weights, [w])
+    assert norms[TASKS.index("br")] == 0.0
+    assert new.alphas[TASKS.index("br")] > 1e9 * new.alphas[0]
+
+
 def test_compute_task_losses_keys_and_finiteness():
     batch = make_batch([synth_scene(0)])
     model = build_model(RunConfig(), np.random.default_rng(0))
@@ -172,6 +263,56 @@ def test_evaluate_does_not_depend_on_batch_size():
     for field in REPORT_FIELDS:
         assert metrics1[field] == pytest.approx(metrics3[field], rel=0, abs=1e-12), field
     np.testing.assert_allclose(losses1, losses3, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_evaluate_iou_equals_iou_of_concatenated_masks(batch_size):
+    samples = [synth_scene(i) for i in range(4)]
+    model = build_model(RunConfig(), np.random.default_rng(1)).astype(np.float64)
+    pred, gt = [], []
+    for s in samples:
+        batch = make_batch([s])
+        cls = seg_argmax(model.forward(batch).seg_logits.data)
+        pred.append(np.eye(NUM_CLASSES, dtype=bool)[cls].transpose(3, 0, 1, 2))
+        gt.append(batch["seg_gt"].transpose(1, 0, 2, 3))
+    _, want = iou(np.concatenate(pred, axis=1), np.concatenate(gt, axis=1))
+    _, metrics = evaluate(model, samples, batch_size=batch_size)
+    assert metrics["ss_metric"] == want
+
+
+def test_evaluate_memory_does_not_grow_with_samples():
+    samples = [synth_scene(i) for i in range(24)]
+    model = build_model(RunConfig(), np.random.default_rng(1))
+    evaluate(model, samples[:2], batch_size=2)   # warm up lazily built state
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (6, 24):
+            tracemalloc.reset_peak()
+            evaluate(model, samples[:n], batch_size=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_fit_metrics_carry_norms_timing_and_validation(tmp_path):
+    samples = [synth_scene(i) for i in range(3)]
+    cfg = RunConfig()
+    cfg.set("train.batch_size", 2)
+    metrics = tmp_path / "metrics.ndjson"
+    fit(samples, cfg, tmp_path / "model.ckpt", metrics_path=metrics, epochs=2)
+    records = [json.loads(line) for line in open(metrics)]
+    assert [r["epoch"] for r in records] == [1, 2]
+    prev = TaskWeights()
+    for r in records:
+        assert r["wall_s"] > 0.0
+        assert r["samples_per_s"] == pytest.approx(2 / r["wall_s"])
+        assert all(f"val_{f}" in r for f in REPORT_FIELDS)
+        norms = [r[f"norm_{t}"] for t in TASKS]
+        alphas = np.array([r[f"alpha_{t}"] for t in TASKS])
+        np.testing.assert_array_equal(alphas, mgn_update(prev, norms).alphas)
+        prev = TaskWeights(alphas)
 
 
 def test_killed_fit_keeps_finished_epochs_in_metrics(tmp_path):
