@@ -13,7 +13,10 @@ raises NumericError otherwise; NaN/Inf never propagates silently.
 left operand's leading axes into one 2-D GEMM for the forward pass and
 for each gradient, and `matmul` delegates to it in that case. `matmul`
 itself keeps the batched case of a right operand with more than two axes
-(window attention, and the row map of `skge.bilinear_resize`).
+(the row map of `skge.bilinear_resize`). Two ops fuse what used to be
+chains of them: `permute_rows` moves a Swin block's tokens into shifted
+windows and back, and `window_attention` is the whole multi-head
+attention between the qkv and output projections.
 
 Gradient ownership: a backward closure may hand out a view of its
 upstream gradient (`add`, `sub`, `reshape`, `transpose`) or a read-only
@@ -26,6 +29,7 @@ write into it either.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -156,7 +160,7 @@ def _needs(t: Tensor) -> bool:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {op}")
 
 
@@ -496,6 +500,38 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     return _apply(table.data[idx], (table,), backward, "gather_rows")
 
 
+def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a[:, index] for a (B, N, C) array; negative entries read zero."""
+    out = np.take(a, index, axis=1)
+    if index.min() < 0:
+        out[:, index < 0] = 0
+    return out
+
+
+def permute_rows(x: Tensor, idx: np.ndarray, inv: np.ndarray, shape) -> Tensor:
+    """Gather rows through an injective index: out[b, k] = x[b, idx[k]].
+
+    x is viewed as (B, len(inv), C), C being its last extent; a slot with
+    idx[k] < 0 reads zero. inv is the inverse map (inv[idx[k]] == k, and -1
+    for a row no slot reads), so the backward is the gather through inv, and
+    permute_rows(y, inv, idx, x.shape) undoes the op on the rows it kept.
+    The (B, len(idx), C) result is reshaped to shape.
+    """
+    c = x.shape[-1]
+    n = len(inv)
+    if x.size % (n * c):
+        raise ShapeError(f"permute_rows: {x.shape} does not split into rows of {n} x {c}")
+    b = x.size // (n * c)
+    if math.prod(shape) != b * len(idx) * c:
+        raise ShapeError(f"permute_rows: {b} x {len(idx)} x {c} rows do not fill {shape}")
+
+    def backward(g):
+        _accum(x, _take_rows(g.reshape(b, len(idx), c), inv).reshape(x.shape))
+
+    out_data = _take_rows(x.data.reshape(b, n, c), idx).reshape(shape)
+    return _apply(out_data, (x,), backward, "permute_rows")
+
+
 # ---------------------------------------------------------------------------
 # linear algebra and normalization
 
@@ -553,6 +589,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply(np.matmul(a.data, b.data), (a, b), backward, "matmul")
 
 
+def _masked_softmax(data: np.ndarray, blocked: Optional[np.ndarray]) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted; blocked entries get exactly 0.
+
+    blocked, when given, is a boolean array broadcastable to data. Every row
+    must keep at least one allowed entry.
+    """
+    if blocked is not None:
+        if not (~blocked).any(axis=-1).all():
+            raise ContractError("softmax mask blocks an entire row")
+        # exp(-inf) is exactly 0, and a blocked entry can never overflow
+        data = np.where(blocked, -np.inf, data)
+    e = np.exp(data - data.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_lastdim(x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
     """Row-stochastic softmax over the last dim, max-subtracted for stability.
 
@@ -562,24 +613,74 @@ def softmax_lastdim(x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
     """
     if x.ndim < 1 or x.shape[-1] < 1 or x.size == 0:
         raise ShapeError(f"softmax needs a non-empty last dim, got shape {x.shape}")
-    data = x.data
-    if blocked is None:
-        m = data.max(axis=-1, keepdims=True)
-        e = np.exp(data - m)
-    else:
-        allowed = ~np.broadcast_to(blocked, data.shape)
-        if not allowed.any(axis=-1).all():
-            raise ContractError("softmax mask blocks an entire row")
-        m = np.where(allowed, data, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(data - m) * allowed
-    s = e.sum(axis=-1, keepdims=True)
-    y = e / s
+    y = _masked_softmax(x.data, blocked)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - dot))
 
     return _apply(y, (x,), backward, "softmax")
+
+
+def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
+                     blocked: Optional[np.ndarray], heads: int, scale: float):
+    """Multi-head attention within windows, in one tape record.
+
+    qkv is (nw, T, 3C): queries, keys and values side by side, each split
+    into heads of C / heads channels. The logits are (q * scale) k^T plus
+    table[rel_index] (a (T, T) index into the (R, heads) bias table). The
+    mask, when given, is a boolean (nW, T, T) that repeats over the nw / nW
+    images of the batch; a blocked pair gets weight exactly 0, and a row
+    with no allowed pair is a ContractError. Returns the merged (nw, T, C)
+    output and the (nw, heads, T, T) softmax weights as an array.
+    """
+    _check_dtypes(qkv, table, "window_attention")
+    if qkv.ndim != 3 or qkv.shape[-1] % (3 * heads):
+        raise ShapeError(f"window_attention: qkv {qkv.shape} does not split "
+                         f"into 3 x {heads} heads")
+    nw, t, c3 = qkv.shape
+    c = c3 // 3
+    hd = c // heads
+    if rel_index.shape != (t, t) or table.ndim != 2 or table.shape[1] != heads:
+        raise ShapeError(f"window_attention: bias table {table.shape} and index "
+                         f"{rel_index.shape} do not fit {t} tokens and {heads} heads")
+    n_masks = 1
+    if blocked is not None:
+        if (blocked.ndim != 3 or blocked.shape[1:] != (t, t) or not blocked.shape[0]
+                or nw % blocked.shape[0]):
+            raise ContractError(f"mask shape {blocked.shape} does not fit {nw} windows "
+                                f"of {t} tokens")
+        n_masks = blocked.shape[0]
+        blocked = blocked[:, None]  # over heads
+
+    parts = qkv.data.reshape(nw, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    q = parts[0] * scale  # (nw, heads, T, hd)
+    k, v = parts[1], parts[2]
+    logits = q @ k.swapaxes(-1, -2)
+    logits += table.data[rel_index].transpose(2, 0, 1)
+    # windows as (images, masks): the mask broadcasts over the images
+    shape5 = (nw // n_masks, n_masks, heads, t, t)
+    attn = _masked_softmax(logits.reshape(shape5), blocked).reshape(nw, heads, t, t)
+    out_data = (attn @ v).transpose(0, 2, 1, 3).reshape(nw, t, c)
+
+    def backward(g):
+        g4 = g.reshape(nw, t, heads, hd).transpose(0, 2, 1, 3)
+        d_attn = g4 @ v.swapaxes(-1, -2)
+        d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        if _needs(qkv):
+            d_qkv = np.empty((nw, t, 3, heads, hd), dtype=qkv.dtype)
+            d_qkv[:, :, 0] = (d_logits @ k).transpose(0, 2, 1, 3) * scale
+            d_qkv[:, :, 1] = (d_logits.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
+            d_qkv[:, :, 2] = (attn.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
+            _accum(qkv, d_qkv.reshape(qkv.shape))
+        if _needs(table):
+            # one scatter of the (T, T, heads) bias gradient into the table rows
+            d_bias = d_logits.sum(axis=0).transpose(1, 2, 0).reshape(-1)
+            cells = (rel_index.reshape(-1, 1) * heads + np.arange(heads)).reshape(-1)
+            d_table = np.bincount(cells, weights=d_bias, minlength=table.size)
+            _accum(table, d_table.reshape(table.shape))
+
+    return _apply(out_data, (qkv, table), backward, "window_attention"), attn
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -61,26 +61,27 @@ class BackboneConfig:
         return self.embed_dim * (2 ** (stage - 1))
 
 
-def window_partition(x: Tensor, w: int) -> Tensor:
-    """(B, H, W, C) -> (B*nW, w*w, C); windows ordered row-major.
+def window_index(h: int, w: int, win: int, shift: int = 0) -> tuple:
+    """Token permutation from an h x w grid into shifted win x win windows.
 
-    Token (i, j) lands in window (i // w, j // w) at slot (i % w) * w + (j % w).
+    The grid is padded bottom/right up to multiples of win, rolled by
+    -shift on both axes and cut into windows ordered row-major, so pad,
+    roll and partition are one index map. Returns (idx, inv, n_windows):
+    window slot k reads row-major grid token idx[k] (-1 for a padding
+    slot), and inv[idx[k]] == k. Without a shift, token (i, j) lands in
+    window (i // win) * (padded w // win) + j // win at slot
+    (i % win) * win + j % win.
     """
-    b, h, ww, c = x.shape
-    if h % w or ww % w:
-        raise ConfigError(f"grid {h}x{ww} not divisible by window {w}")
-    x = ad.reshape(x, (b, h // w, w, ww // w, w, c))
-    x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
-    return ad.reshape(x, (b * (h // w) * (ww // w), w * w, c))
-
-
-def window_reverse(windows: Tensor, w: int, h: int, ww: int) -> Tensor:
-    """Inverse of window_partition; exact round-trip."""
-    nw = (h // w) * (ww // w)
-    b = windows.shape[0] // nw
-    x = ad.reshape(windows, (b, h // w, ww // w, w, w, windows.shape[-1]))
-    x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
-    return ad.reshape(x, (b, h, ww, windows.shape[-1]))
+    hp = -(-h // win) * win
+    wp = -(-w // win) * win
+    ii, jj = np.meshgrid(np.arange(hp), np.arange(wp), indexing="ij")
+    tokens = np.where((ii < h) & (jj < w), ii * w + jj, -1)
+    tokens = np.roll(tokens, (-shift, -shift), axis=(0, 1))
+    idx = tokens.reshape(hp // win, win, wp // win, win).transpose(0, 2, 1, 3).reshape(-1)
+    inv = np.empty(h * w, dtype=np.intp)
+    kept = np.flatnonzero(idx >= 0)
+    inv[idx[kept]] = kept
+    return idx, inv, (hp // win) * (wp // win)
 
 
 def _relative_index(w: int) -> np.ndarray:
@@ -114,36 +115,15 @@ class WindowAttention(nn.Module):
         self._rel_index = _relative_index(window)
 
     def forward(self, x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
-        nw, t, c = x.shape
-        if t != self.window * self.window:
-            raise ContractError(f"expected {self.window ** 2} tokens per window, got {t}")
-        if blocked is not None and blocked.shape != (nw, t, t):
-            raise ContractError(f"mask shape {blocked.shape} does not match ({nw},{t},{t})")
-        h, hd = self.heads, self.head_dim
-
-        qkv = self.qkv(x)
-        q = ad.slice_(qkv, (slice(None), slice(None), slice(0, c)))
-        k = ad.slice_(qkv, (slice(None), slice(None), slice(c, 2 * c)))
-        v = ad.slice_(qkv, (slice(None), slice(None), slice(2 * c, 3 * c)))
-
-        def heads_first(z):
-            z = ad.reshape(z, (nw, t, h, hd))
-            return ad.transpose(z, (0, 2, 1, 3))  # (nw, h, t, hd)
-
-        q, k, v = heads_first(q), heads_first(k), heads_first(v)
-        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), self.scale)
-
-        bias = ad.gather_rows(self.rel_bias, self._rel_index.reshape(-1))
-        bias = ad.transpose(ad.reshape(bias, (t, t, h)), (2, 0, 1))
-        logits = ad.add(logits, bias)  # broadcast over windows
-
-        mask = None if blocked is None else blocked[:, None, :, :]
-        attn = ad.softmax_lastdim(logits, blocked=mask)
+        """x is (nw, T, C) windows; blocked, if given, a (nW, T, T) mask
+        repeated over the nw / nW images."""
+        if x.shape[1] != self.window * self.window:
+            raise ContractError(f"expected {self.window ** 2} tokens per window, "
+                                f"got {x.shape[1]}")
+        out, attn = ad.window_attention(self.qkv(x), self.rel_bias, self._rel_index,
+                                        blocked, self.heads, self.scale)
         # the weights, kept for inspection; no op writes its output in place
-        self.last_attn = attn.data
-
-        out = ad.matmul(attn, v)  # (nw, h, t, hd)
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (nw, t, c))
+        self.last_attn = attn
         return self.proj(out)
 
 
@@ -168,61 +148,37 @@ class SwinBlock(nn.Module):
         self.attn = WindowAttention(dim, heads, window, rng)
         self.norm2 = nn.LayerNorm(dim)
         self.mlp = nn.Mlp(dim, mlp_ratio, rng)
-        self._mask_cache: dict = {}
+        self._index_cache: dict = {}
 
-    def _blocked_mask(self, h: int, ww: int) -> Optional[np.ndarray]:
-        """Per-window boolean (nW, T, T) mask for the padded h x ww grid."""
+    def _windows(self, h: int, ww: int) -> tuple:
+        """(idx, inv, n_windows, blocked) for an h x ww grid, built once.
+
+        blocked is the per-image (nW, T, T) mask, or None when no pair
+        needs blocking: a slot pair is blocked when its tokens come from
+        different unshifted windows or either slot is padding, but a slot
+        always keeps itself, so no row is fully blocked.
+        """
         key = (h, ww)
-        if key in self._mask_cache:
-            return self._mask_cache[key]
-        w = self.window
-        hp = -(-h // w) * w
-        wp = -(-ww // w) * w
-        if hp == h and ww == wp and self.shift == 0:
-            self._mask_cache[key] = None
-            return None
-        ii, jj = np.meshgrid(np.arange(hp), np.arange(wp), indexing="ij")
-        wid = (ii // w) * (wp // w) + (jj // w)
-        wid[(ii >= h) | (jj >= ww)] = -1  # padding marker
-        if self.shift:
-            wid = np.roll(wid, (-self.shift, -self.shift), axis=(0, 1))
-        ids = wid.reshape(hp // w, w, wp // w, w).transpose(0, 2, 1, 3).reshape(-1, w * w)
-        pad = ids < 0
-        blocked = (ids[:, :, None] != ids[:, None, :]) | pad[:, :, None] | pad[:, None, :]
-        # keep self-attention so no row is fully blocked (padding included)
-        diag = np.eye(w * w, dtype=bool)
-        blocked &= ~diag
-        self._mask_cache[key] = blocked
-        return blocked
+        if key not in self._index_cache:
+            w = self.window
+            idx, inv, n_windows = window_index(h, ww, w, self.shift)
+            i, j = np.divmod(idx, ww)
+            ids = np.where(idx >= 0, (i // w) * -(-ww // w) + j // w, -1)
+            ids = ids.reshape(n_windows, w * w)
+            pad = ids < 0
+            blocked = (ids[:, :, None] != ids[:, None, :]) | pad[:, :, None] | pad[:, None, :]
+            blocked &= ~np.eye(w * w, dtype=bool)
+            self._index_cache[key] = (idx, inv, n_windows,
+                                      blocked if blocked.any() else None)
+        return self._index_cache[key]
 
     def forward(self, x: Tensor) -> Tensor:
         b, h, ww, c = x.shape
-        w = self.window
-        shortcut = x
-        x = self.norm1(x)
-
-        pad_h = (-h) % w
-        pad_w = (-ww) % w
-        if pad_h or pad_w:
-            x = ad.pad2d(x, ((0, 0), (0, pad_h), (0, pad_w), (0, 0)))
-        hp, wp = h + pad_h, ww + pad_w
-
-        if self.shift:
-            x = ad.roll2d(x, (-self.shift, -self.shift), (1, 2))
-
-        blocked = self._blocked_mask(h, ww)
-        windows = window_partition(x, w)
-        if blocked is not None:
-            blocked = np.tile(blocked, (b, 1, 1))
+        idx, inv, n_windows, blocked = self._windows(h, ww)
+        t = self.window * self.window
+        windows = ad.permute_rows(self.norm1(x), idx, inv, (b * n_windows, t, c))
         windows = self.attn(windows, blocked)
-        x = window_reverse(windows, w, hp, wp)
-
-        if self.shift:
-            x = ad.roll2d(x, (self.shift, self.shift), (1, 2))
-        if pad_h or pad_w:
-            x = ad.slice_(x, (slice(None), slice(0, h), slice(0, ww), slice(None)))
-
-        x = ad.add(shortcut, x)
+        x = ad.add(x, ad.permute_rows(windows, inv, idx, (b, h, ww, c)))
         return ad.add(x, self.mlp(self.norm2(x)))
 
 

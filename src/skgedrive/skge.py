@@ -10,6 +10,7 @@ is accepted as an alias for the bare deepest stage.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -58,22 +59,28 @@ def parse_route(text: str) -> SkipRoute:
     return SkipRoute(sources, int(m.group(2)))
 
 
+@functools.lru_cache(maxsize=256)
 def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
-    """(n_out, n_in) row-stochastic matrix of corner-aligned bilinear weights."""
+    """(n_out, n_in) row-stochastic matrix of corner-aligned bilinear weights.
+
+    Built once per (n_out, n_in, dtype) and shared by every caller, so it is
+    read-only.
+    """
     m = np.zeros((n_out, n_in), dtype=dtype)
     if n_in == 1:
         m[:, 0] = 1.0
-        return m
-    if n_out == 1:
-        pos = np.array([(n_in - 1) / 2.0])
     else:
-        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-    lo = np.floor(pos).astype(int)
-    lo = np.minimum(lo, n_in - 2)
-    frac = pos - lo
-    m[np.arange(n_out), lo] = 1.0 - frac
-    m[np.arange(n_out), lo + 1] = frac
-    return m.astype(dtype)
+        if n_out == 1:
+            pos = np.array([(n_in - 1) / 2.0])
+        else:
+            pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+        lo = np.floor(pos).astype(int)
+        lo = np.minimum(lo, n_in - 2)
+        frac = pos - lo
+        m[np.arange(n_out), lo] = 1.0 - frac
+        m[np.arange(n_out), lo + 1] = frac
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(src: Tensor, out_h: int, out_w: int) -> Tensor:

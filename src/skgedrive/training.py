@@ -290,8 +290,10 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                 weight_decay=float(cfg["train.weight_decay"]))
     state = TrainState(lr=opt.lr)
 
-    # one flushed ndjson line per epoch, so a killed run keeps the epochs it finished
-    log_file = open(metrics_path, "w") if metrics_path is not None else contextlib.nullcontext()
+    # one flushed ndjson line per epoch, so a killed run keeps the epochs it
+    # finished; a resumed run appends after the lines of the run it resumes
+    mode = "w" if resume is None else "a"
+    log_file = open(metrics_path, mode) if metrics_path is not None else contextlib.nullcontext()
     with log_file as log:
 
         def emit(record):

@@ -160,3 +160,67 @@ def rotation_reference(heading_deg):
 
 def depth_decode_reference(r, g, b):
     return (r + 256 * g + 65536 * b) / (256 ** 3 - 1) * 1000.0
+
+
+def swin_block_reference(blk, x):
+    """A SwinBlock's forward as pad, roll, window partition and per-head
+    attention, each its own op: the composition the fused block replaced.
+
+    Built from the package's primitive autodiff ops and the block's own
+    modules, so gradients can be compared with the block's as well.
+    """
+    from skgedrive import autodiff as ad
+
+    b, h, ww, c = x.shape
+    w, s = blk.window, blk.shift
+    attn = blk.attn
+    heads, hd, t = attn.heads, c // attn.heads, w * w
+    hp, wp = -(-h // w) * w, -(-ww // w) * w
+    shortcut = x
+    x = blk.norm1(x)
+    if (hp, wp) != (h, ww):
+        x = ad.pad2d(x, ((0, 0), (0, hp - h), (0, wp - ww), (0, 0)))
+    if s:
+        x = ad.roll2d(x, (-s, -s), (1, 2))
+    x = ad.reshape(x, (b, hp // w, w, wp // w, w, c))
+    x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
+    windows = ad.reshape(x, (-1, t, c))
+    nw = windows.shape[0]
+
+    # the mask from the window id of every padded-grid cell, rolled and cut
+    wid = window_id_grid(hp, wp, w)
+    wid[h:, :] = -1
+    wid[:, ww:] = -1
+    wid = np.roll(wid, (-s, -s), axis=(0, 1))
+    ids = wid.reshape(hp // w, w, wp // w, w).transpose(0, 2, 1, 3).reshape(-1, t)
+    blocked = np.zeros((ids.shape[0], t, t), dtype=bool)
+    for k in range(ids.shape[0]):
+        for i in range(t):
+            for j in range(t):
+                blocked[k, i, j] = i != j and (ids[k, i] != ids[k, j] or ids[k, i] < 0
+                                               or ids[k, j] < 0)
+    blocked = np.tile(blocked, (b, 1, 1))[:, None]
+
+    qkv = attn.qkv(windows)
+
+    def heads_first(lo):
+        z = ad.slice_(qkv, (slice(None), slice(None), slice(lo, lo + c)))
+        return ad.transpose(ad.reshape(z, (nw, t, heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = heads_first(0), heads_first(c), heads_first(2 * c)
+    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), attn.scale)
+    bias = ad.gather_rows(attn.rel_bias, attn._rel_index.reshape(-1))
+    logits = ad.add(logits, ad.transpose(ad.reshape(bias, (t, t, heads)), (2, 0, 1)))
+    weights = ad.softmax_lastdim(logits, blocked=blocked)
+    out = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (nw, t, c))
+    out = attn.proj(out)
+
+    x = ad.reshape(out, (b, hp // w, wp // w, w, w, c))
+    x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
+    x = ad.reshape(x, (b, hp, wp, c))
+    if s:
+        x = ad.roll2d(x, (s, s), (1, 2))
+    if (hp, wp) != (h, ww):
+        x = ad.slice_(x, (slice(None), slice(0, h), slice(0, ww), slice(None)))
+    x = ad.add(shortcut, x)
+    return ad.add(x, blk.mlp(blk.norm2(x)))

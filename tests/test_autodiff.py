@@ -107,6 +107,38 @@ def _op_cases(rng):
         "layer_norm_beta": (
             lambda b: ad.sum_(ad.layer_norm(_t(a234, False), _t(gamma, False), b)), beta),
     }
+
+    # drawn after the older cases' inputs, so those stay as they were
+    rows5 = _rand(rng, (2, 5, 3))
+    rows7 = _rand(rng, (2, 7, 3))
+    perm_idx = np.array([3, -1, 0, 4, -1, 1, 2])  # slots 1 and 4 are padding
+    perm_inv = np.array([2, 5, 6, 0, 3])
+    w273 = _t(_rand(rng, (2, 7, 3)), False)
+    w253 = _t(_rand(rng, (2, 5, 3)), False)
+    # 4 windows of 4 tokens, 2 heads of 2 channels; the bias index repeats
+    qkv = _rand(rng, (4, 4, 12))
+    table = _rand(rng, (9, 2))
+    rel = rng.integers(0, 9, size=(4, 4))
+    w444 = _t(_rand(rng, (4, 4, 4)), False)
+    # two masks, each repeated over 2 images
+    win_mask = np.zeros((2, 4, 4), dtype=bool)
+    win_mask[0, 0, 1:3] = win_mask[0, 3, 0] = win_mask[1, 2, :2] = True
+
+    def attention(x, tb, blocked):
+        out, _ = ad.window_attention(x, tb, rel, blocked, 2, 0.7)
+        return ad.sum_(ad.mul(out, w444))
+
+    cases.update({
+        "permute_rows": (
+            lambda x: ad.sum_(ad.mul(ad.permute_rows(x, perm_idx, perm_inv, (2, 7, 3)),
+                                     w273)), rows5),
+        "permute_rows_inverse": (
+            lambda x: ad.sum_(ad.mul(ad.permute_rows(x, perm_inv, perm_idx, (2, 5, 3)),
+                                     w253)), rows7),
+        "window_attention": (lambda x: attention(x, _t(table, False), None), qkv),
+        "window_attention_masked": (lambda x: attention(x, _t(table, False), win_mask), qkv),
+        "window_attention_table": (lambda tb: attention(_t(qkv, False), tb, win_mask), table),
+    })
     return cases
 
 
@@ -376,6 +408,51 @@ def test_masked_softmax_fully_blocked_row_rejected():
     blocked = np.ones((1, 3), dtype=bool)
     with pytest.raises(ContractError):
         ad.softmax_lastdim(x, blocked=blocked)
+
+
+def test_masked_softmax_blocked_logit_cannot_overflow():
+    x = _t([[0.0, 1000.0]])
+    p = ad.softmax_lastdim(x, blocked=np.array([[False, True]])).numpy()
+    assert np.array_equal(p, [[1.0, 0.0]])
+
+
+def _attention_inputs(rng, nw=4, t=4, heads=2, hd=2):
+    qkv = _t(rng.standard_normal((nw, t, 3 * heads * hd)))
+    table = _t(rng.standard_normal((9, heads)))
+    return qkv, table, rng.integers(0, 9, size=(t, t))
+
+
+def test_window_attention_mask_contract(rng):
+    qkv, table, rel = _attention_inputs(rng)
+    row_blocked = np.zeros((2, 4, 4), dtype=bool)
+    row_blocked[1, 2, :] = True
+    with pytest.raises(ContractError):
+        ad.window_attention(qkv, table, rel, row_blocked, 2, 0.5)
+    with pytest.raises(ContractError):  # 3 masks do not divide 4 windows
+        ad.window_attention(qkv, table, rel, np.zeros((3, 4, 4), dtype=bool), 2, 0.5)
+    with pytest.raises(ContractError):
+        ad.window_attention(qkv, table, rel, np.zeros((2, 4, 3), dtype=bool), 2, 0.5)
+    with pytest.raises(ShapeError):
+        ad.window_attention(qkv, table, rel, None, 5, 0.5)
+
+
+def test_window_attention_matches_per_head_softmax(rng):
+    """One record; the mask repeats over images; blocked weights are exactly 0."""
+    qkv, table, rel = _attention_inputs(rng)
+    blocked = rng.random((2, 4, 4)) < 0.4
+    blocked[:, :, 0] = False
+    with Tape() as tape:
+        out, attn = ad.window_attention(qkv, table, rel, blocked, 2, 0.7)
+    assert len(tape.records) == 1
+    q, k, v = (qkv.numpy()[..., 4 * i:4 * i + 4].reshape(4, 4, 2, 2).transpose(0, 2, 1, 3)
+               for i in range(3))
+    logits = q @ k.transpose(0, 1, 3, 2) * 0.7 + table.numpy()[rel].transpose(2, 0, 1)
+    mask = np.tile(blocked, (2, 1, 1))[:, None]
+    want = softmax_reference(logits, np.broadcast_to(mask, logits.shape))
+    np.testing.assert_allclose(attn, want, rtol=1e-12, atol=1e-14)
+    assert np.all(attn[np.broadcast_to(mask, attn.shape)] == 0.0)
+    np.testing.assert_allclose(out.numpy(), (want @ v).transpose(0, 2, 1, 3).reshape(4, 4, 4),
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_layer_norm_matches_reference(rng):

@@ -5,10 +5,10 @@ from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor
 from skgedrive.backbone import (BackboneConfig, PatchEmbed, PatchMerging,
                                 SwinBlock, SwinEncoder, WindowAttention,
-                                window_partition, window_reverse)
+                                window_index)
 from skgedrive.errors import ConfigError, ContractError
 
-from oracles import window_id_grid
+from oracles import swin_block_reference, window_id_grid
 
 
 def _cfg(**kw):
@@ -41,19 +41,23 @@ def test_config_validation(bad):
         _cfg(**bad)
 
 
-def test_window_partition_reverse_roundtrip(rng):
-    x = Tensor(rng.standard_normal((2, 8, 8, 5)).astype(np.float32))
-    wins = window_partition(x, 4)
-    assert wins.shape == (2 * 4, 16, 5)
-    back = window_reverse(wins, 4, 8, 8)
-    np.testing.assert_array_equal(back.numpy(), x.numpy())
+def test_window_index_permute_roundtrip(rng):
+    for h, w, shift in [(8, 8, 0), (8, 8, 2), (6, 6, 2), (2, 2, 2)]:
+        x = Tensor(rng.standard_normal((2, h, w, 5)).astype(np.float32))
+        idx, inv, n_windows = window_index(h, w, 4, shift)
+        assert n_windows == (-(-h // 4)) * (-(-w // 4))
+        wins = ad.permute_rows(x, idx, inv, (2 * n_windows, 16, 5))
+        assert np.all(wins.numpy().reshape(2, -1, 5)[:, idx < 0] == 0.0)  # padding slots
+        back = ad.permute_rows(wins, inv, idx, x.shape)
+        np.testing.assert_array_equal(back.numpy(), x.numpy())
 
 
-def test_window_partition_slot_layout():
-    """Token (i, j) of a window lands in row-major slot i*w + j."""
+def test_window_index_slot_layout():
+    """Token (i, j) lands in window (i // w, j // w) at slot (i % w) * w + j % w."""
     h = w = 4
     grid = np.arange(h * w, dtype=np.float32).reshape(1, h, w, 1)
-    wins = window_partition(Tensor(grid), 2).numpy()[..., 0]
+    idx, inv, n_windows = window_index(h, w, 2)
+    wins = ad.permute_rows(Tensor(grid), idx, inv, (n_windows, 4, 1)).numpy()[..., 0]
     ids = window_id_grid(h, w, 2)
     for i in range(h):
         for j in range(w):
@@ -124,6 +128,90 @@ def test_unshifted_block_on_divisible_grid_has_no_mask(rng):
     x = Tensor(rng.standard_normal((1, 4, 4, 8)).astype(np.float32))
     blk(x)
     assert np.all(blk.attn.last_attn > 0)
+
+
+def _block64(rng, dim, heads, shift):
+    blk = SwinBlock(dim, heads, 4, shift, 2.0, rng)
+    blk.astype(np.float64)
+    # a bias table far from zero, so a wrongly indexed bias shows
+    blk.attn.rel_bias.data = rng.standard_normal(blk.attn.rel_bias.shape)
+    return blk
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+@pytest.mark.parametrize("grid", [8, 6, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_swin_block_matches_old_composition(rng, shift, grid, batch):
+    """Forward and every gradient against pad/roll/partition/per-head attention."""
+    blk = _block64(rng, 8, 2, shift)
+    x0 = rng.standard_normal((batch, grid, grid, 8))
+    w = Tensor(rng.standard_normal(x0.shape))
+    results = []
+    for forward in (blk, lambda x: swin_block_reference(blk, x)):
+        blk.zero_grad()
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            y = forward(x)
+            tape.backward(ad.sum_(ad.mul(y, w)))
+        results.append((y.numpy(), x.grad, [p.grad for p in blk.parameters()]))
+    (y, gx, gp), (y_ref, gx_ref, gp_ref) = results
+    np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(gx, gx_ref, rtol=1e-10, atol=1e-10)
+    assert len(gp) == len(gp_ref) == 13
+    for g, g_ref in zip(gp, gp_ref):
+        np.testing.assert_allclose(g, g_ref, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+@pytest.mark.parametrize("grid", [4, 6, 2])
+def test_swin_block_finite_differences(rng, shift, grid):
+    blk = _block64(rng, 4, 2, shift)
+    w = Tensor(rng.standard_normal((1, grid, grid, 4)))
+    x0 = Tensor(rng.standard_normal((1, grid, grid, 4)))
+    assert ad.grad_check(lambda x: ad.sum_(ad.mul(blk(x), w)), x0) < 1e-7
+    table = blk.attn.rel_bias
+
+    def of_table(tb):
+        blk.attn.rel_bias = tb
+        try:
+            return ad.sum_(ad.mul(blk(x0), w))
+        finally:
+            blk.attn.rel_bias = table
+
+    assert ad.grad_check(of_table, table) < 1e-7
+
+
+@pytest.mark.parametrize("shift, grid", [(0, 8), (2, 8), (2, 6), (2, 2)])
+def test_swin_block_records_twelve_ops(rng, shift, grid):
+    blk = SwinBlock(8, 2, 4, shift, 2.0, rng)
+    x = Tensor(rng.standard_normal((2, grid, grid, 8)).astype(np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        blk(x)
+    assert len(tape.records) == 12
+
+
+def test_swin_block_mask_repeats_over_the_batch(rng):
+    """The cached mask is per image; a batch of copies attends like one image."""
+    blk = SwinBlock(8, 2, 4, 2, 2.0, rng)
+    one = rng.standard_normal((1, 6, 6, 8)).astype(np.float32)
+    blk(Tensor(one))
+    single = blk.attn.last_attn
+    blk(Tensor(np.concatenate([one, one, one])))
+    _, _, n_windows, blocked = blk._windows(6, 6)
+    assert blocked.shape == (n_windows, 16, 16) == (4, 16, 16)
+    assert np.array_equal(blk.attn.last_attn, np.concatenate([single] * 3))
+
+
+def test_window_attention_mask_must_fit_the_windows(rng):
+    attn = WindowAttention(8, 2, 2, rng)
+    x = Tensor(rng.standard_normal((6, 4, 8)).astype(np.float32))
+    with pytest.raises(ContractError):   # 4 masks do not divide 6 windows
+        attn(x, np.zeros((4, 4, 4), dtype=bool))
+    blocked = np.zeros((3, 4, 4), dtype=bool)
+    blocked[2, 1] = True                 # a whole row blocked
+    with pytest.raises(ContractError):
+        attn(x, blocked)
 
 
 def test_patch_merging_halves_grid_doubles_channels(rng):

@@ -4,7 +4,8 @@ import pytest
 from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor
 from skgedrive.errors import ConfigError, ContractError
-from skgedrive.skge import SkipRoute, SkipFusion, bilinear_resize, parse_route
+from skgedrive.skge import (SkipRoute, SkipFusion, _interp_matrix, bilinear_resize,
+                            parse_route)
 
 from oracles import bilinear_reference
 
@@ -60,6 +61,17 @@ def test_bilinear_matches_reference(seed):
 def test_bilinear_same_size_is_passthrough(rng):
     src = Tensor(rng.standard_normal((1, 3, 3, 2)))
     assert bilinear_resize(src, 3, 3) is src
+
+
+def test_bilinear_weights_are_built_once_and_read_only(rng):
+    m = _interp_matrix(7, 4, np.dtype(np.float32))
+    assert _interp_matrix(7, 4, np.dtype(np.float32)) is m
+    assert m.dtype == np.float32 and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
+    src = Tensor(rng.standard_normal((2, 4, 4, 3)).astype(np.float32))
+    first = bilinear_resize(src, 7, 7).numpy()
+    np.testing.assert_array_equal(bilinear_resize(src, 7, 7).numpy(), first)
 
 
 def test_bilinear_single_pixel_output_samples_center(rng):

@@ -389,6 +389,22 @@ def test_fit_resume_restores_weights(tmp_path):
     assert records[0]["epoch"] == 0   # pre-train eval of the resumed weights
 
 
+def test_fit_resume_appends_to_the_metrics_file(tmp_path):
+    samples = [synth_scene(i) for i in range(4)]
+    cfg = RunConfig()
+    cfg.set("train.batch_size", 2)
+    ckpt = tmp_path / "run.ckpt"
+    metrics = tmp_path / "run.ndjson"
+    fit(samples, cfg, ckpt, metrics_path=metrics, epochs=2)
+    before = open(metrics).read().splitlines()
+    assert [json.loads(line)["epoch"] for line in before] == [1, 2]
+    fit(samples, cfg, tmp_path / "resumed.ckpt", metrics_path=metrics, epochs=1,
+        resume=ckpt)
+    after = open(metrics).read().splitlines()
+    assert after[:2] == before
+    assert len(after) > 2
+
+
 def test_fit_empty_dataset():
     with pytest.raises(ContractError):
         fit([], RunConfig(), "/tmp/never.ckpt", epochs=1)
