@@ -18,6 +18,15 @@ chains of them: `permute_rows` moves a Swin block's tokens into shifted
 windows and back, and `window_attention` is the whole multi-head
 attention between the qkv and output projections.
 
+Kernels: a sum over the channel axis (layer-norm means, softmax row sums)
+or over folded rows (the `gamma`, `beta` and bias gradients) is one BLAS
+GEMV against a ones vector, so its rounding differs from numpy's
+pairwise reductions at the ulp level; the softmax row max is an exact
+pairwise `np.maximum`. Ops write in place only into arrays they allocated
+themselves; `gelu`, `sigmoid` and `bce_dice` keep the order of operations
+of the plain expressions, so their values are bit-identical to them.
+`gelu` computes its local derivative only while recording.
+
 Gradient ownership: a backward closure may hand out a view of its
 upstream gradient (`add`, `sub`, `reshape`, `transpose`) or a read-only
 broadcast view (`sum_`), and `_accum` stores the first contribution as
@@ -86,9 +95,6 @@ class Tensor:
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -199,6 +205,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:
     if a.dtype != b.dtype:
         raise ContractError(f"{op}: mixed dtypes {a.dtype} and {b.dtype}")
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True) as one GEMV against a ones vector."""
+    n = a.shape[-1]
+    return (a.reshape(-1, n) @ np.ones(n, a.dtype)).reshape(a.shape[:-1] + (1,))
+
+
+def _col_sum(a2: np.ndarray) -> np.ndarray:
+    """a2.sum(axis=0) of a 2-D array as one GEMV against a ones vector."""
+    return np.ones(a2.shape[0], a2.dtype) @ a2
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True) as pairwise np.maximum over halves.
+
+    For an odd extent the two halves share their middle entry, which is
+    exact because max(v, v) == v.
+    """
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
+        h = (n + 1) // 2
+        a = np.maximum(a[..., :h], a[..., n - h:])
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +352,58 @@ def sigmoid(a: Tensor) -> Tensor:
     # relative precision where 1 - 1 / (1 + e) would not; for x >= 0 the
     # numerator is exp(0) == 1 (two exps run faster than one np.where)
     x = a.data
-    out_data = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    out_data = np.minimum(x, 0.0)
+    np.exp(out_data, out=out_data)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out_data /= den
 
     def backward(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        ga = g * out_data
+        ga *= 1.0 - out_data
+        _accum(a, ga)
 
     return _apply(out_data, (a,), backward, "sigmoid")
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-form gaussian error linear unit (smooth, FD-friendly)."""
+    """tanh-form gaussian error linear unit (smooth, FD-friendly).
+
+    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))). While recording for an
+    input that needs a gradient, the local derivative
+    0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2) is
+    computed here and kept in place of t, so each backward pass is one
+    multiply.
+    """
     x = a.data
     # x * x * x, not x ** 3: numpy's power has no fast path for a cube
-    u = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
-    t = np.tanh(u)
-    out_data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_CUBIC
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    out_data = 0.5 * x
+    local = None
+    if active_tape() is not None and _needs(a):
+        local = x * (3.0 * _GELU_CUBIC)
+        local *= x
+        local += 1.0
+        local *= _SQRT_2_OVER_PI
+        curve = t * t
+        np.subtract(1.0, curve, out=curve)
+        curve *= out_data
+        curve *= local
+        t += 1.0
+        np.multiply(t, 0.5, out=local)
+        local += curve
+    else:
+        t += 1.0
+    out_data *= t
 
     def backward(g):
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x * x)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         _accum(a, g * local)
 
     return _apply(out_data, (a,), backward, "gelu")
@@ -366,18 +429,23 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
     inside = pc == p.data
     # pc on positives, 1 - pc on negatives, bit for bit: adding 0 is exact,
     # and pc - 1 rounds to exactly -(1 - pc)
-    q = pc + (y - 1.0)
+    q = y - 1.0
+    q += pc
     np.abs(q, out=q)
     n = p.size
-    bce = -np.log(q).mean()
-    inter = (pc * y).sum()
+    scratch = np.log(q)
+    bce = -scratch.mean()
+    inter = np.multiply(pc, y, out=scratch).sum()
     den = pc.sum() + y.sum() + 1e-6
     out_data = np.asarray(bce + (1.0 - inter * 2.0 / den), dtype=p.dtype)
 
     def backward(g):
         # d/dpc: (1 - 2gt) / (n q) from the BCE, -2gt/D + 2I/D^2 from Dice
-        gp = (1.0 - 2.0 * y) / (n * q)
-        gp += y * (-2.0 / den)
+        gp = 2.0 * y
+        np.subtract(1.0, gp, out=gp)
+        part = n * q
+        gp /= part
+        gp += np.multiply(y, -2.0 / den, out=part)
         gp += 2.0 * inter / (den * den)
         gp *= inside
         gp *= g
@@ -564,7 +632,7 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if _needs(w):
             _accum(w, x2.T @ g2)
         if bias is not None and _needs(bias):
-            _accum(bias, g2.sum(axis=0))
+            _accum(bias, _col_sum(g2))
 
     return _apply(y.reshape(x.shape[:-1] + (d,)), inputs, backward, "linear")
 
@@ -599,9 +667,13 @@ def _masked_softmax(data: np.ndarray, blocked: Optional[np.ndarray]) -> np.ndarr
         if not (~blocked).any(axis=-1).all():
             raise ContractError("softmax mask blocks an entire row")
         # exp(-inf) is exactly 0, and a blocked entry can never overflow
-        data = np.where(blocked, -np.inf, data)
-    e = np.exp(data - data.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        e = np.where(blocked, -np.inf, data)
+        e -= _row_max(e)
+    else:
+        e = data - _row_max(data)
+    np.exp(e, out=e)
+    e /= _row_sum(e)
+    return e
 
 
 def softmax_lastdim(x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
@@ -616,7 +688,7 @@ def softmax_lastdim(x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
     y = _masked_softmax(x.data, blocked)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = _row_sum(g * y)
         _accum(x, y * (g - dot))
 
     return _apply(y, (x,), backward, "softmax")
@@ -665,13 +737,19 @@ def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
 
     def backward(g):
         g4 = g.reshape(nw, t, heads, hd).transpose(0, 2, 1, 3)
-        d_attn = g4 @ v.swapaxes(-1, -2)
-        d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_logits = g4 @ v.swapaxes(-1, -2)  # d_attn until the softmax backward
+        d_logits -= _row_sum(d_logits * attn)
+        d_logits *= attn
         if _needs(qkv):
+            # each matmul writes through a heads-first view of the qkv-shaped
+            # gradient: every (T, hd) block has unit column stride, so BLAS
+            # writes it in place and no assignment or transpose copy follows
             d_qkv = np.empty((nw, t, 3, heads, hd), dtype=qkv.dtype)
-            d_qkv[:, :, 0] = (d_logits @ k).transpose(0, 2, 1, 3) * scale
-            d_qkv[:, :, 1] = (d_logits.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
-            d_qkv[:, :, 2] = (attn.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
+            d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
+            np.matmul(d_logits, k, out=d_q)
+            d_q *= scale
+            np.matmul(d_logits.swapaxes(-1, -2), q, out=d_k)
+            np.matmul(attn.swapaxes(-1, -2), g4, out=d_v)
             _accum(qkv, d_qkv.reshape(qkv.shape))
         if _needs(table):
             # one scatter of the (T, T, heads) bias gradient into the table rows
@@ -689,23 +767,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},), "
                          f"got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
-    xh = xc / s
-    out_data = xh * gamma.data + beta.data
+    _check_dtypes(x, gamma, "layer_norm")
+    _check_dtypes(x, beta, "layer_norm")
+    # rows of d channels; each row mean is a GEMV row sum divided by d
+    x2 = x.data.reshape(-1, d)
+    xh = x2 - _row_sum(x2) / d  # centred until divided by s
+    sq = xh * xh
+    s = np.sqrt(_row_sum(sq) / d + eps)
+    xh /= s
+    out_data = np.multiply(xh, gamma.data, out=sq)
+    out_data += beta.data
 
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(beta, g.sum(axis=lead))
-        _accum(gamma, (g * xh).sum(axis=lead))
+        g2 = g.reshape(-1, d)
+        if _needs(beta):
+            _accum(beta, _col_sum(g2))
+        gx = g2 * xh
+        if _needs(gamma):
+            _accum(gamma, _col_sum(gx))
         if _needs(x):
-            dxh = g * gamma.data
-            _accum(x, (dxh - dxh.mean(axis=-1, keepdims=True)
-                       - xh * (dxh * xh).mean(axis=-1, keepdims=True)) / s)
+            dxh = g2 * gamma.data
+            # dxh - mean(dxh) - xh * mean(dxh * xh), divided by s
+            m2 = _row_sum(np.multiply(dxh, xh, out=gx)) / d
+            dxh -= _row_sum(dxh) / d
+            dxh -= np.multiply(xh, m2, out=gx)
+            dxh /= s
+            _accum(x, dxh.reshape(x.shape))
 
-    return _apply(out_data, (x, gamma, beta), backward, "layer_norm")
+    return _apply(out_data.reshape(x.shape), (x, gamma, beta), backward, "layer_norm")
 
 
 # ---------------------------------------------------------------------------

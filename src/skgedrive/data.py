@@ -57,7 +57,8 @@ def decode_depth(depth_rgb: np.ndarray) -> np.ndarray:
     arr = np.asarray(depth_rgb, dtype=np.float64)
     if arr.shape[0] != 3:
         raise DataError(f"depth image must be channel-first (3, ...), got {arr.shape}")
-    if arr.min() < 0 or arr.max() > 255:
+    # written so that a NaN fails it: min and max propagate NaN
+    if not (arr.min() >= 0 and arr.max() <= 255):
         raise DataError("depth channels must lie in 0..255")
     combined = arr[0] + 256.0 * arr[1] + 65536.0 * arr[2]
     return combined / _DEPTH_DENOM * DEPTH_RANGE_M
@@ -105,13 +106,16 @@ def validate_sample(s: Sample) -> None:
         raise DataError(f"inconsistent tensor shapes: rgb {s.rgb.shape}, "
                         f"depth {s.depth_rgb.shape}, seg {s.seg_gt.shape}")
     for name, arr in (("rgb", s.rgb), ("depth_rgb", s.depth_rgb)):
-        if arr.min() < 0 or arr.max() > 255:
+        if not (arr.min() >= 0 and arr.max() <= 255):
             raise DataError(f"{name} values outside 0..255")
     onehot = ((s.seg_gt == 0) | (s.seg_gt == 1)).all() and np.all(s.seg_gt.sum(axis=0) == 1.0)
     if not onehot:
         raise DataError("segmentation ground truth is not one-hot")
     if not np.isfinite(s.speed) or s.speed < 0:
         raise DataError(f"speed must be finite and nonnegative, got {s.speed}")
+    if not (np.isfinite(s.route_point).all() and np.isfinite(s.ego_pos).all()
+            and np.isfinite(s.ego_heading_deg)):
+        raise DataError("route point, ego position and heading must be finite")
     steer, throttle, brake = (float(v) for v in s.controls_gt)
     if not (-1.0 <= steer <= 1.0 and 0.0 <= throttle <= 0.75 and 0.0 <= brake <= 1.0):
         raise DataError(f"controls outside declared ranges: {s.controls_gt}")
@@ -121,6 +125,8 @@ def validate_sample(s: Sample) -> None:
         raise DataError("traffic-light / stop-sign flags must be 0 or 1")
     if s.lidar is not None and (s.lidar.ndim != 2 or s.lidar.shape[0] != 4):
         raise DataError(f"lidar must be (4, N), got {s.lidar.shape}")
+    if s.lidar is not None and not np.isfinite(s.lidar).all():
+        raise DataError("lidar points must be finite")
 
 
 def _ground_depth(v: np.ndarray, size: int) -> np.ndarray:

@@ -104,7 +104,7 @@ def build_sdc(cls_map: np.ndarray, depth_m: np.ndarray, cam: CameraConfig,
     if cls_map.ndim == 2:
         cls_map = cls_map[None]
         depth_m = depth_m[None]
-    if np.any(depth_m <= 0):
+    if not (depth_m > 0).all():  # a NaN fails this too
         raise ContractError("depth must be positive meters")
     b, h, w = cls_map.shape
     hb = wb = bev.size

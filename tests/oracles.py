@@ -224,3 +224,82 @@ def swin_block_reference(blk, x):
         x = ad.slice_(x, (slice(None), slice(0, h), slice(0, ww), slice(None)))
     x = ad.add(shortcut, x)
     return ad.add(x, blk.mlp(blk.norm2(x)))
+
+
+# The per-token kernels as numpy's reductions and fresh temporaries. These are
+# the formulas `autodiff` used before its channel reductions became GEMVs and
+# its elementwise chains moved in place; each returns the forward value and
+# the gradient for the upstream gradient g.
+
+def gelu_composed(x, g):
+    """tanh-form GELU and its input gradient."""
+    u = math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))
+    t = np.tanh(u)
+    out = 0.5 * x * (1.0 + t)
+    du = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * x * x)
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def sigmoid_composed(x, g):
+    """exp(min(x, 0)) / (1 + exp(-|x|)) and its input gradient."""
+    out = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    return out, g * out * (1.0 - out)
+
+
+def layer_norm_composed(x, gamma, beta, g, eps=1e-5):
+    """Last-axis layer norm; returns out and the x, gamma, beta gradients."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    s = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xh = xc / s
+    lead = tuple(range(g.ndim - 1))
+    dxh = g * gamma
+    dx = (dxh - dxh.mean(axis=-1, keepdims=True)
+          - xh * (dxh * xh).mean(axis=-1, keepdims=True)) / s
+    return xh * gamma + beta, dx, (g * xh).sum(axis=lead), g.sum(axis=lead)
+
+
+def masked_softmax_composed(x, blocked=None):
+    """Max-subtracted last-axis softmax; blocked entries get exactly 0."""
+    if blocked is not None:
+        x = np.where(blocked, -np.inf, x)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def window_attention_composed(qkv, table, rel_index, blocked, heads, scale, g):
+    """Windowed multi-head attention; returns out, attn and the qkv and table
+    gradients, the (nW, T, T) mask repeating over the windows' images."""
+    nw, t, c3 = qkv.shape
+    c = c3 // 3
+    hd = c // heads
+    parts = qkv.reshape(nw, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    q = parts[0] * scale
+    k, v = parts[1], parts[2]
+    logits = q @ k.swapaxes(-1, -2) + table[rel_index].transpose(2, 0, 1)
+    if blocked is not None:
+        blocked = np.tile(blocked, (nw // blocked.shape[0], 1, 1))[:, None]
+    attn = masked_softmax_composed(logits, blocked)
+    out = (attn @ v).transpose(0, 2, 1, 3).reshape(nw, t, c)
+    g4 = g.reshape(nw, t, heads, hd).transpose(0, 2, 1, 3)
+    d_attn = g4 @ v.swapaxes(-1, -2)
+    d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    d_qkv = np.empty((nw, t, 3, heads, hd), dtype=qkv.dtype)
+    d_qkv[:, :, 0] = (d_logits @ k).transpose(0, 2, 1, 3) * scale
+    d_qkv[:, :, 1] = (d_logits.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
+    d_qkv[:, :, 2] = (attn.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
+    d_table = np.zeros_like(table)
+    np.add.at(d_table, rel_index, d_logits.sum(axis=0).transpose(1, 2, 0))
+    return out, attn, d_qkv.reshape(qkv.shape), d_table
+
+
+def bce_dice_composed(p, y):
+    """Clamped mean BCE plus global soft Dice, and its gradient for p."""
+    pc = np.clip(p, 1e-7, 1.0 - 1e-7)
+    q = np.abs(pc + (y - 1.0))
+    n = p.size
+    inter = (pc * y).sum()
+    den = pc.sum() + y.sum() + 1e-6
+    loss = -np.log(q).mean() + (1.0 - inter * 2.0 / den)
+    gp = (1.0 - 2.0 * y) / (n * q) + y * (-2.0 / den) + 2.0 * inter / (den * den)
+    return loss, gp * (pc == p)

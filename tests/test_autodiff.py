@@ -5,9 +5,11 @@ from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor, grad_check, grad_check_params
 from skgedrive.errors import ContractError, DataError, NumericError, ShapeError
 
-from oracles import (bce_reference, dice_reference, gelu_reference,
-                     layer_norm_reference, sigmoid_where_reference,
-                     softmax_reference)
+from oracles import (bce_dice_composed, bce_reference, dice_reference,
+                     gelu_composed, gelu_reference, layer_norm_composed,
+                     layer_norm_reference, masked_softmax_composed,
+                     sigmoid_composed, sigmoid_where_reference,
+                     softmax_reference, window_attention_composed)
 
 N_TRIALS = 50
 
@@ -345,14 +347,8 @@ def test_mixed_dtypes_rejected():
     b = Tensor(np.ones(3, dtype=np.float64))
     with pytest.raises(ContractError):
         ad.add(a, b)
-
-
-def test_detach_blocks_gradient():
-    x = _t([2.0])
-    with Tape() as tape:
-        y = ad.sum_(ad.mul(x.detach(), x))
-        tape.backward(y)
-    np.testing.assert_allclose(x.grad, [2.0])
+    with pytest.raises(ContractError):  # the op writes into x's dtype
+        ad.layer_norm(a, b, a)
 
 
 def test_clamp_passes_gradient_only_inside():
@@ -480,7 +476,7 @@ def test_grad_check_flags_wrong_gradient():
 
     def f(t):
         y = ad.mul(t, t)
-        return ad.sum_(ad.mul(y, t.detach()))  # value x^3 but grad of x^2 * const
+        return ad.sum_(ad.mul(y, Tensor(t.data)))  # value x^3 but grad of x^2 * const
 
     err = grad_check(f, x)
     assert err > 1e-2
@@ -503,3 +499,160 @@ def test_grad_check_params_requires_float64():
     w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError):
         grad_check_params(lambda: ad.sum_(w), [("w", w)])
+
+
+# The rewritten kernels against the composed formulas in oracles.py. Channel
+# sums are GEMVs now, so values that pass through one may differ from numpy's
+# pairwise sums at the rounding level: the bound is relative to the largest
+# magnitude of the compared array, 1e-12 in float64 and 4 ulp in float32.
+# Chains that only moved in place must stay bit-identical.
+KERNEL_DTYPES = (np.float64, np.float32)
+
+
+def _assert_near(got, want):
+    assert got.dtype == want.dtype
+    tol = 1e-12 if want.dtype == np.float64 else 4 * np.finfo(np.float32).eps
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _run(op, inputs, g):
+    """Forward op on Tensors of inputs, then backward of sum(out * g)."""
+    ts = [Tensor(a, requires_grad=True) for a in inputs]
+    with Tape() as tape:
+        out = op(*ts)
+        tape.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    return out.numpy(), [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 16, 25, 49])
+def test_row_max_is_np_max(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, 4, n)).astype(np.float32)
+    a[0, 0] = -np.inf
+    a[0, 1, -1] = -np.inf
+    a[1, 0, n // 2] = 1e30
+    a[1, 1, -1] = 1e30
+    a[2, 3] = a[2, 3, :1]  # ties across the row
+    got = ad._row_max(a)
+    assert got.shape == (3, 4, 1)
+    assert np.array_equal(got, a.max(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_gelu_bitwise_with_and_without_tape(dtype):
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((8, 33)) * 3).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    want, want_grad = gelu_composed(x, g)
+    plain = ad.gelu(Tensor(x)).numpy()
+    with Tape():  # recording, but no input needs a gradient
+        untracked = ad.gelu(Tensor(x)).numpy()
+    got, (grad,) = _run(ad.gelu, [x], g)
+    for arr in (plain, untracked, got):
+        assert arr.dtype == dtype
+        assert np.array_equal(arr, want)
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_sigmoid_bitwise_equal_to_composed(dtype):
+    rng = np.random.default_rng(6)
+    x = (rng.standard_normal((8, 33)) * 10).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    want, want_grad = sigmoid_composed(x, g)
+    got, (grad,) = _run(ad.sigmoid, [x], g)
+    assert np.array_equal(got, want)
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("strided", [False, True])
+def test_layer_norm_matches_composed(dtype, strided):
+    rng = np.random.default_rng(7)
+    x = (rng.standard_normal((2, 24, 17)) * 2 + 1).astype(dtype)
+    if strided:  # a transposed view: the op folds rows of a copy
+        x = x.transpose(0, 2, 1)
+    else:
+        x = x.reshape(2, 17, 24)
+    gamma = rng.uniform(0.5, 1.5, 24).astype(dtype)
+    beta = rng.standard_normal(24).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    want = layer_norm_composed(x, gamma, beta, g)
+    got, grads = _run(ad.layer_norm, [x, gamma, beta], g)
+    for a, b in zip([got] + grads, want):
+        _assert_near(a, b)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_matches_composed(dtype, masked):
+    rng = np.random.default_rng(8)
+    x = (rng.standard_normal((3, 5, 9)) * 4).astype(dtype)
+    blocked = None
+    if masked:
+        blocked = rng.random(x.shape) < 0.5
+        blocked[..., 4] = False
+    g = rng.standard_normal(x.shape).astype(dtype)
+    want = masked_softmax_composed(x, blocked)
+    want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
+    got, (grad,) = _run(lambda t: ad.softmax_lastdim(t, blocked), [x], g)
+    _assert_near(got, want)
+    _assert_near(grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_window_attention_matches_composed(dtype, masked):
+    rng = np.random.default_rng(9)
+    nw, t, heads, hd = 8, 16, 2, 4
+    qkv = rng.standard_normal((nw, t, 3 * heads * hd)).astype(dtype)
+    table = rng.standard_normal((49, heads)).astype(dtype)
+    rel = rng.integers(0, 49, size=(t, t))
+    blocked = None
+    if masked:  # two masks, each repeated over four images
+        blocked = rng.random((2, t, t)) < 0.5
+        blocked[:, np.arange(t), np.arange(t)] = False
+    g = rng.standard_normal((nw, t, heads * hd)).astype(dtype)
+    out_w, attn_w, dqkv_w, dtable_w = window_attention_composed(
+        qkv, table, rel, blocked, heads, 0.5, g)
+    attn = []
+
+    def op(a, tb):
+        out, weights = ad.window_attention(a, tb, rel, blocked, heads, 0.5)
+        attn.append(weights)
+        return out
+
+    got, (dqkv, dtable) = _run(op, [qkv, table], g)
+    _assert_near(got, out_w)
+    _assert_near(attn[0], attn_w)
+    if masked:
+        assert np.all(attn[0][np.broadcast_to(attn_w == 0, attn[0].shape)] == 0)
+    _assert_near(dqkv, dqkv_w)
+    _assert_near(dtable, dtable_w)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_linear_bias_gradient_is_the_column_sum(dtype):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((4, 64, 5)).astype(dtype)
+    w = rng.standard_normal((5, 23)).astype(dtype)
+    b = rng.standard_normal(23).astype(dtype)
+    g = rng.standard_normal((4, 64, 23)).astype(dtype)
+    _, (_, _, gb) = _run(ad.linear, [x, w, b], g)
+    _assert_near(gb, g.reshape(-1, 23).sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_bce_dice_matches_composed(dtype):
+    rng = np.random.default_rng(11)
+    p = rng.uniform(0.0, 1.0, (2, 3, 6, 6)).astype(dtype)
+    p[0, 0, 0, :2] = (0.0, 1.0)  # clamped
+    y = (rng.random(p.shape) < 0.3).astype(dtype)
+    want, want_grad = bce_dice_composed(p, y)
+    x = Tensor(p, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.bce_dice(x, Tensor(y))
+        tape.backward(loss)
+    assert loss.numpy() == np.asarray(want, dtype=dtype)
+    assert np.array_equal(x.grad, want_grad)

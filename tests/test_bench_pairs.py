@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _runs(parent, change, name="throughput_per_s"):
+    def run(v):
+        return {"metrics": {name: {"value": v, "unit": "1/s"}}}
+    return {"parent": [run(v) for v in parent], "change": [run(v) for v in change]}
+
+
+def test_wins_follow_the_metric_direction_and_ties_count_for_neither():
+    bp = _tool()
+    parent = [10.0] * 10
+    change = [11.0] * 8 + [10.0, 9.0]
+    up = bp.summarize(_runs(parent, change), {"throughput_per_s": "higher"})
+    down = bp.summarize(_runs(parent, change), {"throughput_per_s": "lower"})
+    assert up["throughput_per_s"]["change_wins"] == 8
+    assert down["throughput_per_s"]["change_wins"] == 1
+    assert up["throughput_per_s"]["parent"]["median"] == 10.0
+
+
+def test_gain_needs_ten_pairs_nine_wins_and_a_gap_beyond_the_parent_iqr():
+    bp = _tool()
+    better = {"throughput_per_s": "higher"}
+    parent = [10.0, 10.5, 11.0, 11.5, 12.0, 10.0, 10.5, 11.0, 11.5, 12.0]
+    clear = [p + 3.0 for p in parent]
+    assert bp.summarize(_runs(parent, clear), better)["throughput_per_s"]["gain_shown"]
+    # every pair won, but the medians differ by less than the parent's IQR
+    narrow = [p + 0.1 for p in parent]
+    assert not bp.summarize(_runs(parent, narrow), better)["throughput_per_s"]["gain_shown"]
+    assert not bp.summarize(_runs(parent[:9], clear[:9]), better)["throughput_per_s"]["gain_shown"]
+    eight = clear[:8] + parent[8:]
+    assert not bp.summarize(_runs(parent, eight), better)["throughput_per_s"]["gain_shown"]

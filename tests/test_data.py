@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -65,6 +66,26 @@ def test_depth_rejects_out_of_range():
         decode_depth(np.full((3, 1, 1), 256.0))
     with pytest.raises(DataError):
         decode_depth(np.full((3, 1, 1), -1.0))
+    with pytest.raises(DataError):
+        decode_depth(np.array([[[np.nan]], [[0.0]], [[0.0]]]))
+
+
+@pytest.mark.parametrize("field", ["rgb", "depth_rgb", "lidar"])
+def test_validate_sample_rejects_nan(field):
+    s = synth_scene(0, SceneConfig(with_lidar=True))
+    validate_sample(s)
+    arr = getattr(s, field).copy()
+    arr[0, 0] = np.nan
+    with pytest.raises(DataError):
+        validate_sample(dataclasses.replace(s, **{field: arr}))
+
+
+@pytest.mark.parametrize("field, value", [("route_point", np.array([np.nan, 1.0])),
+                                          ("ego_pos", np.array([np.inf, 0.0])),
+                                          ("ego_heading_deg", float("nan"))])
+def test_validate_sample_rejects_non_finite_pose(field, value):
+    with pytest.raises(DataError):
+        validate_sample(dataclasses.replace(synth_scene(0), **{field: value}))
 
 
 @pytest.mark.parametrize("seed", range(12))

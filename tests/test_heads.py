@@ -106,6 +106,9 @@ def test_sdc_validation():
     cam = CameraConfig.for_image(2, 2)
     with pytest.raises(ContractError):
         build_sdc(np.zeros((2, 2), dtype=int), np.zeros((2, 2)), cam, BevConfig())
+    with pytest.raises(ContractError):
+        build_sdc(np.zeros((2, 2), dtype=int), np.array([[1.0, np.nan], [1.0, 1.0]]),
+                  cam, BevConfig())
 
 
 def test_lidar_bev_bins_by_height():
