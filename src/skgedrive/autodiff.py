@@ -23,8 +23,8 @@ or over folded rows (the `gamma`, `beta` and bias gradients) is one BLAS
 GEMV against a ones vector, so its rounding differs from numpy's
 pairwise reductions at the ulp level; the softmax row max is an exact
 pairwise `np.maximum`. Ops write in place only into arrays they allocated
-themselves; `gelu`, `sigmoid` and `bce_dice` keep the order of operations
-of the plain expressions, so their values are bit-identical to them.
+themselves; `gelu` and `sigmoid` keep the order of operations of the
+plain expressions, so their values are bit-identical to them.
 `gelu` computes its local derivative only while recording.
 
 Gradient ownership: a backward closure may hand out a view of its
@@ -429,23 +429,18 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
     inside = pc == p.data
     # pc on positives, 1 - pc on negatives, bit for bit: adding 0 is exact,
     # and pc - 1 rounds to exactly -(1 - pc)
-    q = y - 1.0
-    q += pc
+    q = pc + (y - 1.0)
     np.abs(q, out=q)
     n = p.size
-    scratch = np.log(q)
-    bce = -scratch.mean()
-    inter = np.multiply(pc, y, out=scratch).sum()
+    bce = -np.log(q).mean()
+    inter = (pc * y).sum()
     den = pc.sum() + y.sum() + 1e-6
     out_data = np.asarray(bce + (1.0 - inter * 2.0 / den), dtype=p.dtype)
 
     def backward(g):
         # d/dpc: (1 - 2gt) / (n q) from the BCE, -2gt/D + 2I/D^2 from Dice
-        gp = 2.0 * y
-        np.subtract(1.0, gp, out=gp)
-        part = n * q
-        gp /= part
-        gp += np.multiply(y, -2.0 / den, out=part)
+        gp = (1.0 - 2.0 * y) / (n * q)
+        gp += y * (-2.0 / den)
         gp += 2.0 * inter / (den * den)
         gp *= inside
         gp *= g

@@ -7,7 +7,8 @@ Checks the parent revision out into a temporary git worktree, then runs
 `perfbench/run.py` for one workload and seed in N pairs: once in the
 worktree and once in this checkout (with its uncommitted changes),
 alternating which side runs first. Each side runs its own copy of the
-benchmark. The worktree is removed afterwards.
+benchmark, for BENCHMARK.json's run_seconds. The worktree is removed
+afterwards.
 
 The results go into BENCH_<tag>.json at the root of this checkout, under
 the key "<workload>/seed<seed>/trace<trace>"; other keys already in the
@@ -41,9 +42,9 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def run_side(tree: Path, args) -> dict:
+def run_side(tree: Path, args, seconds) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -84,15 +85,12 @@ def main(argv=None) -> int:
                         choices=("drive_b1", "train_b8", "verify_f64"))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds from BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--tag", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     rev = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                          cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
@@ -106,7 +104,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_side(tree if side == "parent" else ROOT, args)
+                    result = run_side(tree if side == "parent" else ROOT, args, seconds)
                     runs[side].append(result)
                     value = result["metrics"].get("throughput_per_s", {}).get("value")
                     print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
@@ -122,7 +120,7 @@ def main(argv=None) -> int:
         print("a run printed no metrics; nothing written", file=sys.stderr)
         return 1
     entry = {
-        "parent": rev, "pairs": args.pairs, "seconds": args.seconds,
+        "parent": rev, "pairs": args.pairs, "seconds": seconds,
         "environment": runs["change"][0]["environment"],
         "correct": {side: sum(r["correct"] for r in rs) for side, rs in runs.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
