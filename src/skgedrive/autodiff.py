@@ -27,6 +27,13 @@ themselves; `gelu` and `sigmoid` keep the order of operations of the
 plain expressions, so their values are bit-identical to them.
 `gelu` computes its local derivative only while recording.
 
+Gradient lifetime: Tape.backward releases a record's output gradient
+just before calling its backward closure. The walk runs in reverse
+execution order, so every consumer of that output has already added its
+contribution and nothing reads the gradient again. A pass therefore
+holds only the gradients still waiting for their record, and leaves
+behind only leaf gradients.
+
 Gradient ownership: a backward closure may hand out a view of its
 upstream gradient (`add`, `sub`, `reshape`, `transpose`) or a read-only
 broadcast view (`sum_`), and `_accum` stores the first contribution as
@@ -115,9 +122,10 @@ class Tape:
     """Ordered record of executed differentiable ops.
 
     Use as a context manager around the forward pass, then call
-    backward(loss). Multiple backward calls on one tape are allowed;
-    intermediate gradients are reset each call while leaf gradients
-    accumulate (callers zero leaves between optimizer steps).
+    backward(loss). Multiple backward calls on one tape are allowed. An
+    intermediate gradient lives only until its record's backward closure
+    has run, so after a call only leaf gradients remain; those accumulate
+    across calls (callers zero leaves between optimizer steps).
     """
 
     def __init__(self):
@@ -142,12 +150,16 @@ class Tape:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss._on_tape:
             raise ContractError("loss was not produced on this tape")
+        # only a pass cut short by an exception leaves gradients here
         for rec in self._records:
             rec.out.grad = None
         loss.grad = np.ones_like(loss.data)
         for rec in reversed(self._records):
             g = rec.out.grad
             if g is not None:
+                # every consumer of rec.out ran earlier in this walk, so g is
+                # final; dropping it frees it once the closure returns
+                rec.out.grad = None
                 rec.backward(g)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import resource
 import sys
 import time
 from typing import Dict
@@ -23,7 +22,7 @@ from .config import RunConfig
 from .data import SceneConfig, load_dataset, save_dataset, synth_scene
 from .errors import ConfigError, DataError, NumericError
 from .model import build_model, make_batch
-from .training import REPORT_FIELDS, evaluate, fit
+from .training import REPORT_FIELDS, evaluate, fit, peak_rss_mb
 
 
 def _seed(args) -> int:
@@ -136,9 +135,8 @@ def cmd_bench(args) -> int:
         model.forward(batch)
     elapsed = time.perf_counter() - start
     fps = args.iters / elapsed if elapsed > 0 else float("inf")
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"fps={fps:.3f}")
-    print(f"peak_rss_mb={peak_kb / 1024.0:.1f}")
+    print(f"peak_rss_mb={peak_rss_mb():.1f}")
     return 0
 
 

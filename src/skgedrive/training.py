@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import resource
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -266,6 +267,12 @@ def evaluate(model: DrivingModel, samples, batch_size: int) -> tuple:
     return sums / len(samples), metrics
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (ru_maxrss is
+    in kB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
         resume=None) -> TrainState:
     """Train on samples per cfg; checkpoint the best-validation weights."""
@@ -305,7 +312,8 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
             task0, _ = evaluate(model, val_set, batch_size)
             emit({"epoch": 0, "lr": opt.lr, "val_loss": float(np.dot(task0, weights.alphas)),
                   **{f"loss_{t}": float(v) for t, v in zip(TASKS, task0)},
-                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()}})
+                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()},
+                  "peak_rss_mb": peak_rss_mb()})
 
         for epoch in range(1, epochs + 1):
             t0 = time.perf_counter()
@@ -325,11 +333,14 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                     if bi == 0:
                         weights, norms = rebalance(tape, losses, weights, opt.params)
                     else:
-                        opt.zero_grad()
                         tape.backward(total_loss([losses[t] for t in TASKS], weights))
                 opt.step()
+                opt.zero_grad()
                 task_sums += np.array([losses[t].item() for t in TASKS]) * len(chunk)
                 seen += len(chunk)
+                # the tape pins the step's activations; release them before
+                # the next batch, validation or the checkpoint write
+                del tape, out, losses
 
             task_means = task_sums / seen
             train_total = float(np.dot(task_means, weights.alphas))
@@ -355,7 +366,8 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                   **{f"alpha_{t}": a for t, a in weights.as_dict().items()},
                   "wall_s": wall, "samples_per_s": seen / wall,
                   **{f"norm_{t}": n for t, n in zip(TASKS, norms)},
-                  **{f"val_{k}": v for k, v in val_metrics.items()}})
+                  **{f"val_{k}": v for k, v in val_metrics.items()},
+                  "peak_rss_mb": peak_rss_mb()})
 
             if state.stagnant >= patience_stop:
                 state.stopped_early = True

@@ -186,6 +186,40 @@ def test_backward_twice_accumulates_leaf_grads():
     np.testing.assert_allclose(x.grad, 2 * g1)
 
 
+def _fan_out_graph(rng, dtype):
+    # h feeds two consumers, and two records follow the first loss
+    x = Tensor(rng.standard_normal((2, 5, 6)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 6)).astype(dtype), requires_grad=True)
+    gamma = Tensor(np.ones(6, dtype=dtype), requires_grad=True)
+    beta = Tensor(np.zeros(6, dtype=dtype), requires_grad=True)
+    h = ad.layer_norm(ad.linear(x, w), gamma, beta)
+    first = ad.mean(ad.mul(ad.add(ad.gelu(h), h), h))
+    second = ad.sum_(ad.mul(h, 0.5))
+    return (x, w, gamma, beta), first, second
+
+
+def test_backward_leaves_only_leaf_gradients(rng):
+    with Tape() as tape:
+        leaves, first, second = _fan_out_graph(rng, np.float64)
+    for loss in (first, second, first):
+        tape.backward(loss)
+        assert all(rec.out.grad is None for rec in tape.records)
+        assert all(t.grad is not None for t in leaves)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_passes_on_one_tape_give_bit_identical_leaf_gradients(rng, dtype):
+    with Tape() as tape:
+        leaves, first, _ = _fan_out_graph(rng, dtype)
+    tape.backward(first)
+    grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    tape.backward(first)
+    for t, g in zip(leaves, grads):
+        assert np.array_equal(t.grad, g)
+
+
 def test_linear_matches_matmul_plus_bias_in_one_record(rng):
     x = _t(rng.standard_normal((2, 3, 4)))
     w = _t(rng.standard_normal((4, 5)))

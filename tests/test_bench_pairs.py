@@ -1,5 +1,10 @@
+import argparse
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -40,3 +45,36 @@ def test_gain_needs_ten_pairs_nine_wins_and_a_gap_beyond_the_parent_iqr():
     assert not bp.summarize(_runs(parent[:9], clear[:9]), better)["throughput_per_s"]["gain_shown"]
     eight = clear[:8] + parent[8:]
     assert not bp.summarize(_runs(parent, eight), better)["throughput_per_s"]["gain_shown"]
+
+
+def _run_side_with(monkeypatch, returncode, stdout, stderr=""):
+    bp = _tool()
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout, stderr)
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    args = argparse.Namespace(workload="train_b8", seed=0, trace=0)
+    return bp.run_side(Path("tree"), args, 36)
+
+
+def test_run_side_reads_the_last_json_line(monkeypatch):
+    result = {"correct": True, "metrics": {}}
+    got = _run_side_with(monkeypatch, 0, f"environment py\n{json.dumps(result)}\n")
+    assert got == {**result, "environment": "py"}
+
+
+@pytest.mark.parametrize("returncode, stdout", [
+    (1, ""),
+    (1, '{"correct": false, "metrics": {}}\n'),
+    (0, "environment py\nmetrics follow\n"),
+    (0, ""),
+])
+def test_run_side_failure_names_the_exit_code_and_stderr_tail(monkeypatch, returncode, stdout):
+    stderr = "".join(f"line {i}\n" for i in range(40)) + "ValueError: broken workload\n"
+    with pytest.raises(RuntimeError) as err:
+        _run_side_with(monkeypatch, returncode, stdout, stderr)
+    message = str(err.value)
+    assert f"exited {returncode}" in message
+    assert "ValueError: broken workload" in message
+    assert "line 5\n" not in message

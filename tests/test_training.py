@@ -224,6 +224,43 @@ def test_rebalance_floors_a_task_with_zero_gradient():
     assert new.alphas[TASKS.index("br")] > 1e9 * new.alphas[0]
 
 
+def _recorded_step(batch_size):
+    model = build_model(RunConfig(), np.random.default_rng(0))
+    batch = make_batch([synth_scene(i) for i in range(batch_size)])
+    with Tape() as tape:
+        losses = compute_task_losses(model.forward(batch), batch)
+        loss = total_loss([losses[t] for t in TASKS], TaskWeights())
+    return model.parameters(), tape, loss
+
+
+def test_model_backward_leaves_only_parameter_gradients_bit_identically():
+    params, tape, loss = _recorded_step(1)
+    tape.backward(loss)
+    assert all(rec.out.grad is None for rec in tape.records)
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    tape.backward(loss)
+    for p, g in zip(params, grads):
+        assert (p.grad is None and g is None) or np.array_equal(p.grad, g)
+
+
+def test_backward_peak_stays_below_parameters_plus_a_quarter_of_activations():
+    # intermediate gradients held until the pass ends would add about 0.7
+    # of all record-output bytes on top of the parameter gradients
+    params, tape, loss = _recorded_step(2)
+    param_bytes = sum(p.data.nbytes for p in params)
+    output_bytes = sum(rec.out.data.nbytes for rec in tape.records)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes + output_bytes / 4, (peak, param_bytes, output_bytes)
+
+
 def test_compute_task_losses_keys_and_finiteness():
     batch = make_batch([synth_scene(0)])
     model = build_model(RunConfig(), np.random.default_rng(0))
@@ -313,6 +350,17 @@ def test_fit_metrics_carry_norms_timing_and_validation(tmp_path):
         alphas = np.array([r[f"alpha_{t}"] for t in TASKS])
         np.testing.assert_array_equal(alphas, mgn_update(prev, norms).alphas)
         prev = TaskWeights(alphas)
+
+
+def test_fit_metrics_report_peak_rss(tmp_path):
+    samples = [synth_scene(i) for i in range(3)]
+    cfg = RunConfig()
+    cfg.set("train.batch_size", 2)
+    metrics = tmp_path / "metrics.ndjson"
+    fit(samples, cfg, tmp_path / "model.ckpt", metrics_path=metrics, epochs=3)
+    rss = [json.loads(line)["peak_rss_mb"] for line in open(metrics)]
+    assert len(rss) == 3
+    assert 0.0 < rss[0] <= rss[1] <= rss[2]
 
 
 def test_killed_fit_keeps_finished_epochs_in_metrics(tmp_path):

@@ -48,9 +48,15 @@ def run_side(tree: Path, args, seconds) -> dict:
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{tree}: no output (exit {proc.returncode})\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        last = lines[-1][:200] if lines else ""
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RuntimeError(f"{tree}: perfbench/run.py exited {proc.returncode} with last "
+                           f"stdout line {last!r}; its stderr ends:\n{tail}")
     result["environment"] = next((ln[len("environment "):] for ln in lines
                                   if ln.startswith("environment ")), None)
     return result
