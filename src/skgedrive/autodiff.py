@@ -27,6 +27,16 @@ themselves; `gelu` and `sigmoid` keep the order of operations of the
 plain expressions, so their values are bit-identical to them.
 `gelu` computes its local derivative only while recording.
 
+Tape contents: a record holds its output's gradient slot (a small
+object with `.grad`, kept apart from the output Tensor), the slots of its
+inputs, and a backward closure that captures only the arrays and shapes
+that backward reads. A leaf Tensor serves as its own slot. Once the
+forward drops an intermediate Tensor, its data lives on only if some
+backward reads it, such as the output of `sigmoid` or the input of
+`linear`. A value that every consumer's backward reads only through its
+shape (the residual stream into `add` and `layer_norm`, an fc1 output
+into `gelu`) dies in the forward pass.
+
 Gradient lifetime: Tape.backward releases a record's output gradient
 just before calling its backward closure. The walk runs in reverse
 execution order, so every consumer of that output has already added its
@@ -58,9 +68,14 @@ _GELU_CUBIC = 0.044715
 
 
 class Tensor:
-    """N-dimensional value with optional gradient buffer."""
+    """N-dimensional value with optional gradient buffer.
 
-    __slots__ = ("data", "grad", "requires_grad", "_on_tape")
+    A leaf (requires_grad) accumulates its gradient in .grad. The gradient
+    of a recorded op output goes to its slot on the tape, so its .grad
+    stays None.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -71,7 +86,7 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._on_tape = False
+        self._slot: Optional[_Slot] = None
 
     @property
     def shape(self):
@@ -107,11 +122,26 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-class _Record:
-    __slots__ = ("out", "backward")
+class _Slot:
+    """Where the gradient of one recorded op output accumulates."""
 
-    def __init__(self, out: Tensor, backward: Callable[[np.ndarray], None]):
+    __slots__ = ("grad", "shape", "dtype")
+
+    def __init__(self, shape: tuple, dtype):
+        self.grad: Optional[np.ndarray] = None
+        self.shape = shape
+        self.dtype = dtype
+
+
+class _Record:
+    """One recorded op: its output slot, its input slots (None for an input
+    that needs no gradient) and backward(g, *inputs)."""
+
+    __slots__ = ("out", "inputs", "backward")
+
+    def __init__(self, out: _Slot, inputs: tuple, backward: Callable[..., None]):
         self.out = out
+        self.inputs = inputs
         self.backward = backward
 
 
@@ -122,10 +152,12 @@ class Tape:
     """Ordered record of executed differentiable ops.
 
     Use as a context manager around the forward pass, then call
-    backward(loss). Multiple backward calls on one tape are allowed. An
-    intermediate gradient lives only until its record's backward closure
-    has run, so after a call only leaf gradients remain; those accumulate
-    across calls (callers zero leaves between optimizer steps).
+    backward(loss). Multiple backward calls on one tape are allowed. A
+    record keeps only what its backward reads: its output's gradient slot,
+    its input slots, and the arrays its closure captured. An intermediate
+    gradient lives only until its record's backward closure has run, so
+    after a call only leaf gradients remain; those accumulate across calls
+    (callers zero leaves between optimizer steps).
     """
 
     def __init__(self):
@@ -148,19 +180,19 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if not loss._on_tape:
+        if loss._slot is None:
             raise ContractError("loss was not produced on this tape")
         # only a pass cut short by an exception leaves gradients here
         for rec in self._records:
             rec.out.grad = None
-        loss.grad = np.ones_like(loss.data)
+        loss._slot.grad = np.ones_like(loss.data)
         for rec in reversed(self._records):
             g = rec.out.grad
             if g is not None:
                 # every consumer of rec.out ran earlier in this walk, so g is
                 # final; dropping it frees it once the closure returns
                 rec.out.grad = None
-                rec.backward(g)
+                rec.backward(g, *rec.inputs)
 
 
 def active_tape() -> Optional[Tape]:
@@ -174,7 +206,7 @@ def _as_tensor(x, dtype) -> Tensor:
 
 
 def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t._on_tape
+    return t.requires_grad or t._slot is not None
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -183,25 +215,29 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _apply(out_data: np.ndarray, inputs: Sequence[Tensor],
-           backward: Callable[[np.ndarray], None], op: str) -> Tensor:
+           backward: Callable[..., None], op: str) -> Tensor:
+    """Wrap out_data; while recording, append a record when an input needs
+    a gradient. backward(g, *slots) gets one slot per input, None for an
+    input that needs no gradient (a leaf is its own slot)."""
     _check_finite(out_data, op)
     out = Tensor(out_data)
     tape = active_tape()
-    if tape is not None and any(_needs(t) for t in inputs):
-        out._on_tape = True
-        tape._records.append(_Record(out, backward))
+    if tape is not None:
+        slots = tuple([t if t.requires_grad else t._slot for t in inputs])
+        if any(s is not None for s in slots):
+            out._slot = _Slot(out.shape, out.dtype)
+            tape._records.append(_Record(out._slot, slots, backward))
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not _needs(t):
-        return
-    if t.grad is None:
+def _accum(slot, g: np.ndarray) -> None:
+    """Add g to a gradient slot: a _Slot or a leaf Tensor."""
+    if slot.grad is None:
         # stored as is; g may alias another tensor's gradient, which is
         # safe because no gradient is ever written in place
-        t.grad = g if g.dtype == t.dtype else g.astype(t.dtype)
+        slot.grad = g if g.dtype == slot.dtype else g.astype(slot.dtype)
     else:
-        t.grad = (t.grad + g).astype(t.dtype, copy=False)
+        slot.grad = (slot.grad + g).astype(slot.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -250,11 +286,11 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "add")
 
-    def backward(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g, a.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(g, b.shape))
+    def backward(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(g, sb.shape))
 
     return _apply(a.data + b.data, (a, b), backward, "add")
 
@@ -263,11 +299,11 @@ def sub(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "sub")
 
-    def backward(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g, a.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(-g, b.shape))
+    def backward(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(-g, sb.shape))
 
     return _apply(a.data - b.data, (a, b), backward, "sub")
 
@@ -275,12 +311,15 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "mul")
+    # each operand is read only for the other one's gradient
+    a_data = a.data if _needs(b) else None
+    b_data = b.data if _needs(a) else None
 
-    def backward(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+    def backward(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g * b_data, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(g * a_data, sb.shape))
 
     return _apply(a.data * b.data, (a, b), backward, "mul")
 
@@ -288,12 +327,14 @@ def mul(a: Tensor, b) -> Tensor:
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "div")
+    a_data = a.data if _needs(b) else None  # read only for b's gradient
+    b_data = b.data
 
-    def backward(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+    def backward(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g / b_data, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(-g * a_data / (b_data * b_data), sb.shape))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data  # the finiteness check turns inf into an error
@@ -302,26 +343,29 @@ def div(a: Tensor, b) -> Tensor:
 
 def pow_(a: Tensor, p: float) -> Tensor:
     p = float(p)
+    x = a.data
 
-    def backward(g):
-        _accum(a, g * p * np.power(a.data, p - 1.0))
+    def backward(g, sa):
+        _accum(sa, g * p * np.power(x, p - 1.0))
 
-    return _apply(np.power(a.data, p), (a,), backward, "pow")
+    return _apply(np.power(x, p), (a,), backward, "pow")
 
 
 def abs_(a: Tensor) -> Tensor:
-    # subgradient 0 at exact ties
-    def backward(g):
-        _accum(a, g * np.sign(a.data))
+    x = a.data
 
-    return _apply(np.abs(a.data), (a,), backward, "abs")
+    # subgradient 0 at exact ties
+    def backward(g, sa):
+        _accum(sa, g * np.sign(x))
+
+    return _apply(np.abs(x), (a,), backward, "abs")
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.data >= lo) & (a.data <= hi)
 
-    def backward(g):
-        _accum(a, g * inside.astype(a.dtype))
+    def backward(g, sa):
+        _accum(sa, g * inside.astype(sa.dtype))
 
     return _apply(np.clip(a.data, lo, hi), (a,), backward, "clamp")
 
@@ -330,21 +374,22 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(a.data)  # overflow surfaces via the finiteness check
 
-    def backward(g):
-        _accum(a, g * out_data)
+    def backward(g, sa):
+        _accum(sa, g * out_data)
 
     return _apply(out_data, (a,), backward, "exp")
 
 
 def log(a: Tensor) -> Tensor:
+    x = a.data
     with np.errstate(divide="raise", invalid="raise"):
         try:
-            out_data = np.log(a.data)
+            out_data = np.log(x)
         except FloatingPointError as e:
             raise NumericError(f"log of non-positive value: {e}") from None
 
-    def backward(g):
-        _accum(a, g / a.data)
+    def backward(g, sa):
+        _accum(sa, g / x)
 
     return _apply(out_data, (a,), backward, "log")
 
@@ -352,8 +397,8 @@ def log(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
-    def backward(g):
-        _accum(a, g * (1.0 - out_data * out_data))
+    def backward(g, sa):
+        _accum(sa, g * (1.0 - out_data * out_data))
 
     return _apply(out_data, (a,), backward, "tanh")
 
@@ -372,10 +417,10 @@ def sigmoid(a: Tensor) -> Tensor:
     den += 1.0
     out_data /= den
 
-    def backward(g):
+    def backward(g, sa):
         ga = g * out_data
         ga *= 1.0 - out_data
-        _accum(a, ga)
+        _accum(sa, ga)
 
     return _apply(out_data, (a,), backward, "sigmoid")
 
@@ -415,8 +460,8 @@ def gelu(a: Tensor) -> Tensor:
         t += 1.0
     out_data *= t
 
-    def backward(g):
-        _accum(a, g * local)
+    def backward(g, sa):
+        _accum(sa, g * local)
 
     return _apply(out_data, (a,), backward, "gelu")
 
@@ -449,14 +494,14 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
     den = pc.sum() + y.sum() + 1e-6
     out_data = np.asarray(bce + (1.0 - inter * 2.0 / den), dtype=p.dtype)
 
-    def backward(g):
+    def backward(g, sp):
         # d/dpc: (1 - 2gt) / (n q) from the BCE, -2gt/D + 2I/D^2 from Dice
         gp = (1.0 - 2.0 * y) / (n * q)
         gp += y * (-2.0 / den)
         gp += 2.0 * inter / (den * den)
         gp *= inside
         gp *= g
-        _accum(p, gp)
+        _accum(sp, gp)
 
     return _apply(out_data, (p,), backward, "bce_dice")
 
@@ -467,11 +512,11 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
+    def backward(g, sa):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
+        _accum(sa, np.broadcast_to(gg, sa.shape).astype(sa.dtype, copy=False))
 
     return _apply(out_data, (a,), backward, "sum")
 
@@ -483,11 +528,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         n = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[ax] for ax in axis]))
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
 
-    def backward(g):
+    def backward(g, sa):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(a, (np.broadcast_to(gg, a.shape) / n).astype(a.dtype, copy=False))
+        _accum(sa, (np.broadcast_to(gg, sa.shape) / n).astype(sa.dtype, copy=False))
 
     return _apply(out_data, (a,), backward, "mean")
 
@@ -496,10 +541,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # shape manipulation
 
 def reshape(a: Tensor, shape) -> Tensor:
-    in_shape = a.shape
-
-    def backward(g):
-        _accum(a, g.reshape(in_shape))
+    def backward(g, sa):
+        _accum(sa, g.reshape(sa.shape))
 
     return _apply(a.data.reshape(shape), (a,), backward, "reshape")
 
@@ -508,8 +551,8 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
-    def backward(g):
-        _accum(a, g.transpose(inv))
+    def backward(g, sa):
+        _accum(sa, g.transpose(inv))
 
     return _apply(a.data.transpose(axes), (a,), backward, "transpose")
 
@@ -519,11 +562,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+    def backward(g, *slots):
+        for s, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            if s is not None:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accum(s, g[tuple(idx)])
 
     return _apply(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward, "concat")
 
@@ -532,22 +576,20 @@ def slice_(a: Tensor, slices) -> Tensor:
     """Basic slicing; slices is a tuple of slice objects."""
     slices = tuple(slices)
 
-    def backward(g):
-        if _needs(a):
-            full = np.zeros_like(a.data)
-            full[slices] = g
-            _accum(a, full)
+    def backward(g, sa):
+        full = np.zeros(sa.shape, sa.dtype)
+        full[slices] = g
+        _accum(sa, full)
 
     return _apply(a.data[slices].copy(), (a,), backward, "slice")
 
 
 def pad2d(a: Tensor, axis_pads) -> Tensor:
     """Zero-pad; axis_pads is a per-axis list of (before, after)."""
-    def backward(g):
-        if _needs(a):
-            idx = tuple(slice(b, g.shape[i] - aft if aft else None)
-                        for i, (b, aft) in enumerate(axis_pads))
-            _accum(a, g[idx])
+    def backward(g, sa):
+        idx = tuple(slice(b, g.shape[i] - aft if aft else None)
+                    for i, (b, aft) in enumerate(axis_pads))
+        _accum(sa, g[idx])
 
     return _apply(np.pad(a.data, axis_pads), (a,), backward, "pad")
 
@@ -556,8 +598,8 @@ def roll2d(a: Tensor, shifts, axes) -> Tensor:
     shifts = tuple(shifts)
     axes = tuple(axes)
 
-    def backward(g):
-        _accum(a, np.roll(g, tuple(-s for s in shifts), axis=axes))
+    def backward(g, sa):
+        _accum(sa, np.roll(g, tuple(-s for s in shifts), axis=axes))
 
     return _apply(np.roll(a.data, shifts, axis=axes), (a,), backward, "roll")
 
@@ -566,11 +608,10 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     """out[k] = table[idx[k]]; scatter-add on the way back."""
     idx = np.asarray(idx)
 
-    def backward(g):
-        if _needs(table):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            _accum(table, gt)
+    def backward(g, st):
+        gt = np.zeros(st.shape, st.dtype)
+        np.add.at(gt, idx, g)
+        _accum(st, gt)
 
     return _apply(table.data[idx], (table,), backward, "gather_rows")
 
@@ -600,8 +641,8 @@ def permute_rows(x: Tensor, idx: np.ndarray, inv: np.ndarray, shape) -> Tensor:
     if math.prod(shape) != b * len(idx) * c:
         raise ShapeError(f"permute_rows: {b} x {len(idx)} x {c} rows do not fill {shape}")
 
-    def backward(g):
-        _accum(x, _take_rows(g.reshape(b, len(idx), c), inv).reshape(x.shape))
+    def backward(g, sx):
+        _accum(sx, _take_rows(g.reshape(b, len(idx), c), inv).reshape(sx.shape))
 
     out_data = _take_rows(x.data.reshape(b, n, c), idx).reshape(shape)
     return _apply(out_data, (x,), backward, "permute_rows")
@@ -628,18 +669,19 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None and bias.shape != (d,):
         raise ShapeError(f"linear bias must have shape ({d},), got {bias.shape}")
     x2 = x.data.reshape(-1, k)
-    y = x2 @ w.data
+    w_data = w.data
+    y = x2 @ w_data
     if bias is not None:
         y += bias.data
 
-    def backward(g):
+    def backward(g, sx, sw, sb=None):
         g2 = g.reshape(-1, d)
-        if _needs(x):
-            _accum(x, (g2 @ w.data.T).reshape(x.shape))
-        if _needs(w):
-            _accum(w, x2.T @ g2)
-        if bias is not None and _needs(bias):
-            _accum(bias, _col_sum(g2))
+        if sx is not None:
+            _accum(sx, (g2 @ w_data.T).reshape(sx.shape))
+        if sw is not None:
+            _accum(sw, x2.T @ g2)
+        if sb is not None:
+            _accum(sb, _col_sum(g2))
 
     return _apply(y.reshape(x.shape[:-1] + (d,)), inputs, backward, "linear")
 
@@ -652,14 +694,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if b.ndim == 2:
         return linear(a, b)
+    # each operand is read only for the other one's gradient
+    a_data = a.data if _needs(b) else None
+    b_data = b.data if _needs(a) else None
 
-    def backward(g):
-        if _needs(a):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.shape))
-        if _needs(b):
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.shape))
+    def backward(g, sa, sb):
+        if sa is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            _accum(sa, _unbroadcast(ga, sa.shape))
+        if sb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            _accum(sb, _unbroadcast(gb, sb.shape))
 
     return _apply(np.matmul(a.data, b.data), (a, b), backward, "matmul")
 
@@ -694,9 +739,9 @@ def softmax_lastdim(x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
         raise ShapeError(f"softmax needs a non-empty last dim, got shape {x.shape}")
     y = _masked_softmax(x.data, blocked)
 
-    def backward(g):
+    def backward(g, sx):
         dot = _row_sum(g * y)
-        _accum(x, y * (g - dot))
+        _accum(sx, y * (g - dot))
 
     return _apply(y, (x,), backward, "softmax")
 
@@ -742,28 +787,28 @@ def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
     attn = _masked_softmax(logits.reshape(shape5), blocked).reshape(nw, heads, t, t)
     out_data = (attn @ v).transpose(0, 2, 1, 3).reshape(nw, t, c)
 
-    def backward(g):
+    def backward(g, sqkv, st):
         g4 = g.reshape(nw, t, heads, hd).transpose(0, 2, 1, 3)
         d_logits = g4 @ v.swapaxes(-1, -2)  # d_attn until the softmax backward
         d_logits -= _row_sum(d_logits * attn)
         d_logits *= attn
-        if _needs(qkv):
+        if sqkv is not None:
             # each matmul writes through a heads-first view of the qkv-shaped
             # gradient: every (T, hd) block has unit column stride, so BLAS
             # writes it in place and no assignment or transpose copy follows
-            d_qkv = np.empty((nw, t, 3, heads, hd), dtype=qkv.dtype)
+            d_qkv = np.empty((nw, t, 3, heads, hd), dtype=sqkv.dtype)
             d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
             np.matmul(d_logits, k, out=d_q)
             d_q *= scale
             np.matmul(d_logits.swapaxes(-1, -2), q, out=d_k)
             np.matmul(attn.swapaxes(-1, -2), g4, out=d_v)
-            _accum(qkv, d_qkv.reshape(qkv.shape))
-        if _needs(table):
+            _accum(sqkv, d_qkv.reshape(sqkv.shape))
+        if st is not None:
             # one scatter of the (T, T, heads) bias gradient into the table rows
             d_bias = d_logits.sum(axis=0).transpose(1, 2, 0).reshape(-1)
             cells = (rel_index.reshape(-1, 1) * heads + np.arange(heads)).reshape(-1)
-            d_table = np.bincount(cells, weights=d_bias, minlength=table.size)
-            _accum(table, d_table.reshape(table.shape))
+            d_table = np.bincount(cells, weights=d_bias, minlength=math.prod(st.shape))
+            _accum(st, d_table.reshape(st.shape))
 
     return _apply(out_data, (qkv, table), backward, "window_attention"), attn
 
@@ -782,24 +827,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     sq = xh * xh
     s = np.sqrt(_row_sum(sq) / d + eps)
     xh /= s
-    out_data = np.multiply(xh, gamma.data, out=sq)
+    gamma_data = gamma.data
+    out_data = np.multiply(xh, gamma_data, out=sq)
     out_data += beta.data
 
-    def backward(g):
+    def backward(g, sx, sg, sb):
         g2 = g.reshape(-1, d)
-        if _needs(beta):
-            _accum(beta, _col_sum(g2))
+        if sb is not None:
+            _accum(sb, _col_sum(g2))
         gx = g2 * xh
-        if _needs(gamma):
-            _accum(gamma, _col_sum(gx))
-        if _needs(x):
-            dxh = g2 * gamma.data
+        if sg is not None:
+            _accum(sg, _col_sum(gx))
+        if sx is not None:
+            dxh = g2 * gamma_data
             # dxh - mean(dxh) - xh * mean(dxh * xh), divided by s
             m2 = _row_sum(np.multiply(dxh, xh, out=gx)) / d
             dxh -= _row_sum(dxh) / d
             dxh -= np.multiply(xh, m2, out=gx)
             dxh /= s
-            _accum(x, dxh.reshape(x.shape))
+            _accum(sx, dxh.reshape(sx.shape))
 
     return _apply(out_data.reshape(x.shape), (x, gamma, beta), backward, "layer_norm")
 
@@ -820,7 +866,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
         if y.size != 1:
             raise ContractError("grad_check needs a scalar-valued function")
         tape.backward(y)
-    analytic = np.zeros_like(xx.data) if xx.grad is None else xx.grad.copy()
+    # no stored gradient is ever written in place, so no copy is needed
+    analytic = np.zeros_like(xx.data) if xx.grad is None else xx.grad
     xx.grad = None
 
     if coords is None:
@@ -859,7 +906,7 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[tuple],
         if y.size != 1:
             raise ContractError("grad_check_params needs a scalar-valued function")
         tape.backward(y)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
                 for name, p in params}
 
     errs = {}

@@ -64,7 +64,7 @@ def write_records(path, arrays: Dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def _take(buf: bytes, offset: int, n: int, path, what: str) -> tuple:
+def _take(buf: memoryview, offset: int, n: int, path, what: str) -> tuple:
     if offset + n > len(buf):
         raise CorruptDataError(f"{path}: truncated while reading {what}")
     return buf[offset:offset + n], offset + n
@@ -73,10 +73,12 @@ def _take(buf: bytes, offset: int, n: int, path, what: str) -> tuple:
 def read_records(path) -> Dict[str, np.ndarray]:
     """Read every record, in file order; truncation raises CorruptDataError."""
     with open(path, "rb") as fh:
-        buf = fh.read()
+        # slices of a memoryview share the file's bytes, so each payload is
+        # copied once, into its own array
+        buf = memoryview(fh.read())
     chunk, off = _take(buf, 0, 8, path, "header")
     if chunk[:4] != MAGIC:
-        raise CorruptDataError(f"{path}: bad magic {chunk[:4]!r}")
+        raise CorruptDataError(f"{path}: bad magic {bytes(chunk[:4])!r}")
     version = struct.unpack("<I", chunk[4:])[0]
     if version != VERSION:
         raise CorruptDataError(f"{path}: unsupported format version {version}")
@@ -86,7 +88,7 @@ def read_records(path) -> Dict[str, np.ndarray]:
         chunk, off = _take(buf, off, 4, path, "name length")
         name_len = struct.unpack("<I", chunk)[0]
         chunk, off = _take(buf, off, name_len, path, "name")
-        name = chunk.decode("utf-8")
+        name = bytes(chunk).decode("utf-8")
         chunk, off = _take(buf, off, 4, path, "rank")
         rank = struct.unpack("<I", chunk)[0]
         chunk, off = _take(buf, off, 4 * rank, path, f"extents of {name}")

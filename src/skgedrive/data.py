@@ -81,7 +81,7 @@ class SceneConfig:
 class Sample:
     rgb: np.ndarray                  # (3, H, W) float32 in 0..255
     depth_rgb: np.ndarray            # (3, H, W) float32 channel-coded
-    seg_gt: np.ndarray               # (23, H, W) float32 one-hot
+    seg_gt: np.ndarray               # (23, H, W) uint8 one-hot
     speed: float                     # m/s
     route_point: np.ndarray          # (2,) global meters
     ego_pos: np.ndarray              # (2,) global meters
@@ -184,8 +184,8 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> Sample:
     rgb = _PALETTE[cls].transpose(2, 0, 1) + rng.normal(0.0, 4.0, size=(3, n, n))
     rgb = np.clip(rgb, 0.0, 255.0).astype(np.float32)
 
-    seg = np.zeros((NUM_CLASSES, n, n), dtype=np.float32)
-    seg[cls, np.arange(n)[:, None], np.arange(n)[None, :]] = 1.0
+    seg = np.zeros((NUM_CLASSES, n, n), dtype=np.uint8)
+    seg[cls, np.arange(n)[:, None], np.arange(n)[None, :]] = 1
 
     # expert arc in the local frame: forward is -y (matching the heading
     # transform), lateral offset grows quadratically with curvature
@@ -219,7 +219,8 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> Sample:
                           rng.uniform(-0.5, 2.0, m), rng.uniform(0, 1, m)]
                          ).astype(np.float32)
 
-    # float32 throughout so a save/load round-trip is bit-identical
+    # float32 throughout, the uint8 labels aside, so a save/load round-trip
+    # is bit-identical
     return Sample(rgb=rgb, depth_rgb=depth_rgb, seg_gt=seg,
                   speed=float(np.float32(speed)),
                   route_point=np.asarray(route_global, dtype=np.float32),
@@ -257,7 +258,8 @@ def _sample_to_arrays(s: Sample) -> dict:
 def _arrays_to_sample(arrays: dict, path) -> Sample:
     try:
         # arrays keep their stored float32 width so load(save(x)) == x
-        # byte for byte on freshly synthesized samples
+        # byte for byte on freshly synthesized samples; load_dataset narrows
+        # the labels to uint8 once they pass the one-hot check
         return Sample(
             rgb=arrays["rgb"], depth_rgb=arrays["depth_rgb"], seg_gt=arrays["seg_gt"],
             speed=float(arrays["speed"][0]),
@@ -321,5 +323,6 @@ def load_dataset(directory) -> List[Sample]:
             validate_sample(sample)
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
+        sample.seg_gt = sample.seg_gt.astype(np.uint8)
         samples.append(sample)
     return samples

@@ -330,6 +330,8 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                     except NumericError as e:
                         raise NumericError(f"model forward failed: {e}") from None
                     losses = compute_task_losses(out, batch)
+                    # no backward reads the logits, so they die here
+                    del out
                     if bi == 0:
                         weights, norms = rebalance(tape, losses, weights, opt.params)
                     else:
@@ -340,7 +342,7 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                 seen += len(chunk)
                 # the tape pins the step's activations; release them before
                 # the next batch, validation or the checkpoint write
-                del tape, out, losses
+                del tape, losses
 
             task_means = task_sums / seen
             train_total = float(np.dot(task_means, weights.alphas))

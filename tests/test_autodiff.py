@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,78 @@ def test_two_passes_on_one_tape_give_bit_identical_leaf_gradients(rng, dtype):
     tape.backward(first)
     for t, g in zip(leaves, grads):
         assert np.array_equal(t.grad, g)
+
+
+# op -> (input array, op applied to an intermediate h, whether the op's
+# backward reads h, whether it reads its own output)
+def _liveness_cases(rng):
+    def leaf(*shape):
+        return _t(_rand(rng, shape))
+
+    def const(*shape):
+        return _t(_rand(rng, shape), False)
+
+    a23 = _rand(rng, (2, 3))
+    pos = _rand(rng, (2, 3), 0.5, 2.0)
+    prob = _rand(rng, (2, 3), 0.05, 0.95)
+    binary = _t((rng.random((2, 3)) < 0.4).astype(np.float64), False)
+    perm = np.array([2, 0, 3, 1])
+    # 4 windows of 4 tokens, 2 heads of 2 channels
+    qkv, table = _rand(rng, (4, 4, 12)), leaf(9, 2)
+    rel = rng.integers(0, 9, size=(4, 4))
+    return {
+        "add": (a23, lambda h: ad.add(h, const(2, 3)), False, False),
+        "sub": (a23, lambda h: ad.sub(const(2, 3), h), False, False),
+        "mul": (a23, lambda h: ad.mul(h, const(2, 3)), False, False),
+        "mul_by_leaf": (a23, lambda h: ad.mul(h, leaf(2, 3)), True, False),
+        "div": (a23, lambda h: ad.div(h, _t(pos, False)), False, False),
+        "div_by_leaf": (a23, lambda h: ad.div(h, _t(pos)), True, False),
+        "pow": (a23, lambda h: ad.pow_(h, 2.0), True, False),
+        "abs": (a23, ad.abs_, True, False),
+        "clamp": (a23, lambda h: ad.clamp(h, -0.5, 0.5), False, False),
+        "exp": (a23, ad.exp, False, True),
+        "log": (pos, ad.log, True, False),
+        "tanh": (a23, ad.tanh, False, True),
+        "sigmoid": (a23, ad.sigmoid, False, True),
+        "gelu": (a23, ad.gelu, False, False),
+        "bce_dice": (prob, lambda h: ad.bce_dice(h, binary), False, False),
+        "sum": (a23, lambda h: ad.sum_(h, axis=1), False, False),
+        "mean": (a23, lambda h: ad.mean(h, axis=0), False, False),
+        "reshape": (a23, lambda h: ad.reshape(h, (3, 2)), False, False),
+        "transpose": (a23, lambda h: ad.transpose(h, (1, 0)), False, False),
+        "concat": (a23, lambda h: ad.concat([h, leaf(2, 3)], axis=1), False, False),
+        "slice": (a23, lambda h: ad.slice_(h, (slice(None), slice(1, 3))), False, False),
+        "pad2d": (a23, lambda h: ad.pad2d(h, [(1, 0), (0, 2)]), False, False),
+        "roll2d": (a23, lambda h: ad.roll2d(h, (1, 1), (0, 1)), False, False),
+        "gather_rows": (a23, lambda h: ad.gather_rows(h, np.array([1, 0, 1])), False, False),
+        "permute_rows": (_rand(rng, (1, 4, 2)),
+                         lambda h: ad.permute_rows(h, perm, np.argsort(perm), (1, 4, 2)),
+                         False, False),
+        "linear": (a23, lambda h: ad.linear(h, leaf(3, 4), leaf(4)), True, False),
+        "matmul": (_rand(rng, (2, 2, 3)), lambda h: ad.matmul(h, const(2, 3, 4)), False, False),
+        "matmul_by_leaf": (_rand(rng, (2, 2, 3)), lambda h: ad.matmul(h, leaf(2, 3, 4)),
+                           True, False),
+        "softmax": (a23, ad.softmax_lastdim, False, True),
+        "window_attention": (qkv, lambda h: ad.window_attention(h, table, rel, None, 2, 0.5)[0],
+                             True, False),
+        "layer_norm": (a23, lambda h: ad.layer_norm(h, leaf(3), leaf(3)), False, False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_liveness_cases(np.random.default_rng(0))))
+def test_a_record_keeps_only_the_arrays_its_backward_reads(name):
+    x0, op, reads_input, reads_output = _liveness_cases(np.random.default_rng(0))[name]
+    x = _t(x0)
+    with Tape() as tape:
+        h = ad.add(x, 0.0)  # an intermediate whose producer reads nothing
+        out = op(h)
+        loss = ad.sum_(out)
+    h_ref, out_ref = weakref.ref(h.data), weakref.ref(out.data)
+    del h, out
+    assert (h_ref() is not None) == reads_input
+    assert (out_ref() is not None) == reads_output
+    tape.backward(loss)
+    assert x.grad.shape == x.shape and np.isfinite(x.grad).all()
 
 
 def test_linear_matches_matmul_plus_bias_in_one_record(rng):

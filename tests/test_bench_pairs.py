@@ -78,3 +78,17 @@ def test_run_side_failure_names_the_exit_code_and_stderr_tail(monkeypatch, retur
     assert f"exited {returncode}" in message
     assert "ValueError: broken workload" in message
     assert "line 5\n" not in message
+
+
+def test_beyond_bound_needs_the_median_past_the_bound_in_the_better_direction():
+    bp = _tool()
+    better = {"peak_rss_mb": "lower", "throughput_per_s": "higher"}
+    bounds = {"peak_rss_mb": 0.1}
+    parent = [159.0] * 10
+    for change, beyond in (([140.0] * 10, True), ([145.0] * 10, False),
+                           ([180.0] * 10, False)):
+        got = bp.summarize(_runs(parent, change, "peak_rss_mb"), better, bounds)
+        assert got["peak_rss_mb"]["beyond_bound"] is beyond
+    # a metric with no bound (a per-layer one) gets no verdict
+    got = bp.summarize(_runs(parent, [200.0] * 10), better, bounds)
+    assert "beyond_bound" not in got["throughput_per_s"]

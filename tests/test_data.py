@@ -146,6 +146,19 @@ def test_dataset_roundtrip_bit_identical(tmp_path, small_samples):
         assert a.tl_gt == b.tl_gt and a.ss_gt == b.ss_gt
 
 
+def test_labels_are_uint8_and_a_soft_stored_label_still_fails_loading(tmp_path):
+    s = synth_scene(0)
+    assert s.seg_gt.dtype == np.uint8
+    soft = s.seg_gt.astype(np.float32)
+    soft[:, 0, 0] = 0.0
+    soft[:2, 0, 0] = 0.5  # sums to one, but is not one-hot
+    save_dataset(tmp_path / "ok", [s], [0])
+    save_dataset(tmp_path / "soft", [dataclasses.replace(s, seg_gt=soft)], [0])
+    assert load_dataset(tmp_path / "ok")[0].seg_gt.dtype == np.uint8
+    with pytest.raises(DataError):
+        load_dataset(tmp_path / "soft")
+
+
 def test_manifest_lists_indices_and_seeds(dataset_dir):
     entries = read_manifest(dataset_dir)
     assert [e[0] for e in entries] == list(range(8))

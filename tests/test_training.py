@@ -245,12 +245,28 @@ def test_model_backward_leaves_only_parameter_gradients_bit_identically():
         assert (p.grad is None and g is None) or np.array_equal(p.grad, g)
 
 
-def test_backward_peak_stays_below_parameters_plus_a_quarter_of_activations():
+def _count_record_output_bytes(monkeypatch) -> list:
+    """From now on, append the byte size of each recorded op output."""
+    sizes = []
+    apply = ad._apply
+
+    def counting_apply(out_data, inputs, backward, op):
+        out = apply(out_data, inputs, backward, op)
+        if out._slot is not None:
+            sizes.append(out.data.nbytes)
+        return out
+
+    monkeypatch.setattr(ad, "_apply", counting_apply)
+    return sizes
+
+
+def test_backward_peak_stays_below_parameters_plus_a_quarter_of_activations(monkeypatch):
     # intermediate gradients held until the pass ends would add about 0.7
     # of all record-output bytes on top of the parameter gradients
+    sizes = _count_record_output_bytes(monkeypatch)
     params, tape, loss = _recorded_step(2)
     param_bytes = sum(p.data.nbytes for p in params)
-    output_bytes = sum(rec.out.data.nbytes for rec in tape.records)
+    output_bytes = sum(sizes)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -259,6 +275,25 @@ def test_backward_peak_stays_below_parameters_plus_a_quarter_of_activations():
     finally:
         tracemalloc.stop()
     assert peak < param_bytes + output_bytes / 4, (peak, param_bytes, output_bytes)
+
+
+def test_recorded_forward_keeps_less_than_its_record_outputs(monkeypatch):
+    # a tape that pinned every record's output would keep all of them, plus
+    # the arrays the closures read besides
+    sizes = _count_record_output_bytes(monkeypatch)
+    model = build_model(RunConfig(), np.random.default_rng(0))
+    batch = make_batch([synth_scene(i) for i in range(2)])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            losses = compute_task_losses(model.forward(batch), batch)
+            loss = total_loss([losses[t] for t in TASKS], TaskWeights())
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert live < 0.8 * sum(sizes), (live, sum(sizes))
+    tape.backward(loss)
 
 
 def test_compute_task_losses_keys_and_finiteness():

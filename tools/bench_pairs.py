@@ -17,7 +17,10 @@ metric the entry holds each side's values, median and quartiles, the
 number of pairs the change won (by the metric's direction in
 BENCHMARK.json; ties count for neither side), and whether the gain rule
 holds: at least ten pairs, the change wins at least nine in ten, and the
-medians differ by more than the parent's interquartile range.
+medians differ by more than the parent's interquartile range. An
+end-to-end metric also gets `beyond_bound`: whether the change's median
+is better than the parent's by more than the metric's bound in
+BENCHMARK.json, taken as a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ def run_side(tree: Path, args, seconds) -> dict:
     return result
 
 
-def summarize(runs: dict, better: dict) -> dict:
+def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
+    """Per metric: each side's values and quartiles, the pairs the change
+    won, gain_shown and, for a metric in bounds (name -> relative bound),
+    beyond_bound."""
     names = sorted(set(runs["parent"][0]["metrics"]) & set(runs["change"][0]["metrics"]))
     out = {}
     for name in names:
@@ -80,6 +86,8 @@ def summarize(runs: dict, better: dict) -> dict:
         pairs = len(sides["parent"])
         entry["gain_shown"] = (pairs >= MIN_PAIRS and wins >= 0.9 * pairs
                                and gap > entry["parent"]["q3"] - entry["parent"]["q1"])
+        if bounds and name in bounds:
+            entry["beyond_bound"] = gap > bounds[name] * abs(entry["parent"]["median"])
         out[name] = entry
     return out
 
@@ -98,6 +106,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                          cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -131,7 +140,7 @@ def main(argv=None) -> int:
         "correct": {side: sum(r["correct"] for r in rs) for side, rs in runs.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
-        "metrics": summarize(runs, better),
+        "metrics": summarize(runs, better, bounds),
     }
     path = ROOT / f"BENCH_{args.tag}.json"
     doc = json.loads(path.read_text()) if path.exists() else {}
