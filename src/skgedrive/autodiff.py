@@ -9,16 +9,14 @@ supported: float32 (training default) and float64 (gradient checking).
 Every primitive validates that finite inputs produce finite outputs and
 raises NumericError otherwise; NaN/Inf never propagates silently.
 
-`linear` is the single GEMM path for a 2-D right operand: it folds the
-left operand's leading axes into one 2-D GEMM for the forward pass and
-for each gradient, and `matmul` delegates to it in that case. `matmul`
-itself keeps the batched case of a right operand with more than two axes
-(the row map of `skge.bilinear_resize`). Two ops fuse what used to be
+The module holds only the ops the pipeline records. `linear` is the one
+GEMM op: it folds the left operand's leading axes into one 2-D GEMM for
+the forward pass and for each gradient. Two ops fuse what used to be
 chains of them: `permute_rows` moves a Swin block's tokens into shifted
 windows and back, and `window_attention` is the whole multi-head
 attention between the qkv and output projections.
 
-Kernels: a sum over the channel axis (layer-norm means, softmax row sums)
+Kernels: a sum over the channel axis (layer-norm means, attention row sums)
 or over folded rows (the `gamma`, `beta` and bias gradients) is one BLAS
 GEMV against a ones vector, so its rounding differs from numpy's
 pairwise reductions at the ulp level; the softmax row max is an exact
@@ -45,12 +43,11 @@ holds only the gradients still waiting for their record, and leaves
 behind only leaf gradients.
 
 Gradient ownership: a backward closure may hand out a view of its
-upstream gradient (`add`, `sub`, `reshape`, `transpose`) or a read-only
-broadcast view (`sum_`), and `_accum` stores the first contribution as
-is. No stored gradient is ever written in place: a later contribution
-rebinds `t.grad` to a new array. An array read from `t.grad` therefore
-keeps its values after a further backward pass, and callers must not
-write into it either.
+upstream gradient (`add`, `sub`, `reshape`, `transpose`), and `_accum`
+stores the first contribution as is. No stored gradient is ever written
+in place: a later contribution rebinds `t.grad` to a new array. An array
+read from `t.grad` therefore keeps its values after a further backward
+pass, and callers must not write into it either.
 """
 
 from __future__ import annotations
@@ -324,33 +321,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _apply(a.data * b.data, (a, b), backward, "mul")
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes(a, b, "div")
-    a_data = a.data if _needs(b) else None  # read only for b's gradient
-    b_data = b.data
-
-    def backward(g, sa, sb):
-        if sa is not None:
-            _accum(sa, _unbroadcast(g / b_data, sa.shape))
-        if sb is not None:
-            _accum(sb, _unbroadcast(-g * a_data / (b_data * b_data), sb.shape))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = a.data / b.data  # the finiteness check turns inf into an error
-    return _apply(out_data, (a, b), backward, "div")
-
-
-def pow_(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    x = a.data
-
-    def backward(g, sa):
-        _accum(sa, g * p * np.power(x, p - 1.0))
-
-    return _apply(np.power(x, p), (a,), backward, "pow")
-
-
 def abs_(a: Tensor) -> Tensor:
     x = a.data
 
@@ -359,39 +329,6 @@ def abs_(a: Tensor) -> Tensor:
         _accum(sa, g * np.sign(x))
 
     return _apply(np.abs(x), (a,), backward, "abs")
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g, sa):
-        _accum(sa, g * inside.astype(sa.dtype))
-
-    return _apply(np.clip(a.data, lo, hi), (a,), backward, "clamp")
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)  # overflow surfaces via the finiteness check
-
-    def backward(g, sa):
-        _accum(sa, g * out_data)
-
-    return _apply(out_data, (a,), backward, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    x = a.data
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            out_data = np.log(x)
-        except FloatingPointError as e:
-            raise NumericError(f"log of non-positive value: {e}") from None
-
-    def backward(g, sa):
-        _accum(sa, g / x)
-
-    return _apply(out_data, (a,), backward, "log")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -509,18 +446,6 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g, sa):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(sa, np.broadcast_to(gg, sa.shape).astype(sa.dtype, copy=False))
-
-    return _apply(out_data, (a,), backward, "sum")
-
-
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     if axis is None:
         n = a.size
@@ -584,38 +509,6 @@ def slice_(a: Tensor, slices) -> Tensor:
     return _apply(a.data[slices].copy(), (a,), backward, "slice")
 
 
-def pad2d(a: Tensor, axis_pads) -> Tensor:
-    """Zero-pad; axis_pads is a per-axis list of (before, after)."""
-    def backward(g, sa):
-        idx = tuple(slice(b, g.shape[i] - aft if aft else None)
-                    for i, (b, aft) in enumerate(axis_pads))
-        _accum(sa, g[idx])
-
-    return _apply(np.pad(a.data, axis_pads), (a,), backward, "pad")
-
-
-def roll2d(a: Tensor, shifts, axes) -> Tensor:
-    shifts = tuple(shifts)
-    axes = tuple(axes)
-
-    def backward(g, sa):
-        _accum(sa, np.roll(g, tuple(-s for s in shifts), axis=axes))
-
-    return _apply(np.roll(a.data, shifts, axis=axes), (a,), backward, "roll")
-
-
-def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """out[k] = table[idx[k]]; scatter-add on the way back."""
-    idx = np.asarray(idx)
-
-    def backward(g, st):
-        gt = np.zeros(st.shape, st.dtype)
-        np.add.at(gt, idx, g)
-        _accum(st, gt)
-
-    return _apply(table.data[idx], (table,), backward, "gather_rows")
-
-
 def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     """a[:, index] for a (B, N, C) array; negative entries read zero."""
     out = np.take(a, index, axis=1)
@@ -656,7 +549,7 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     The leading axes of x are folded into one, so the forward pass and all
     three gradients are single 2-D GEMMs (or one column sum for the bias),
-    and the op takes one tape record where matmul plus add took two.
+    in one tape record.
     """
     inputs = (x, w) if bias is None else (x, w, bias)
     for t in inputs[1:]:
@@ -669,44 +562,24 @@ def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None and bias.shape != (d,):
         raise ShapeError(f"linear bias must have shape ({d},), got {bias.shape}")
     x2 = x.data.reshape(-1, k)
-    w_data = w.data
-    y = x2 @ w_data
+    y = x2 @ w.data
     if bias is not None:
         y += bias.data
+    # each operand is read only for the other one's gradient; a constant w
+    # (the interpolation matrices of skge.bilinear_resize) keeps no copy of x
+    x_kept = x2 if _needs(w) else None
+    w_kept = w.data if _needs(x) else None
 
     def backward(g, sx, sw, sb=None):
         g2 = g.reshape(-1, d)
         if sx is not None:
-            _accum(sx, (g2 @ w_data.T).reshape(sx.shape))
+            _accum(sx, (g2 @ w_kept.T).reshape(sx.shape))
         if sw is not None:
-            _accum(sw, x2.T @ g2)
+            _accum(sw, x_kept.T @ g2)
         if sb is not None:
             _accum(sb, _col_sum(g2))
 
     return _apply(y.reshape(x.shape[:-1] + (d,)), inputs, backward, "linear")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b, "matmul")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    if b.ndim == 2:
-        return linear(a, b)
-    # each operand is read only for the other one's gradient
-    a_data = a.data if _needs(b) else None
-    b_data = b.data if _needs(a) else None
-
-    def backward(g, sa, sb):
-        if sa is not None:
-            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-            _accum(sa, _unbroadcast(ga, sa.shape))
-        if sb is not None:
-            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-            _accum(sb, _unbroadcast(gb, sb.shape))
-
-    return _apply(np.matmul(a.data, b.data), (a, b), backward, "matmul")
 
 
 def _masked_softmax(data: np.ndarray, blocked: Optional[np.ndarray]) -> np.ndarray:
@@ -726,24 +599,6 @@ def _masked_softmax(data: np.ndarray, blocked: Optional[np.ndarray]) -> np.ndarr
     np.exp(e, out=e)
     e /= _row_sum(e)
     return e
-
-
-def softmax_lastdim(x: Tensor, blocked: Optional[np.ndarray] = None) -> Tensor:
-    """Row-stochastic softmax over the last dim, max-subtracted for stability.
-
-    blocked, when given, is a boolean array broadcastable to x; True entries
-    are excluded from the distribution and get weight exactly 0. Every row
-    must keep at least one allowed entry.
-    """
-    if x.ndim < 1 or x.shape[-1] < 1 or x.size == 0:
-        raise ShapeError(f"softmax needs a non-empty last dim, got shape {x.shape}")
-    y = _masked_softmax(x.data, blocked)
-
-    def backward(g, sx):
-        dot = _row_sum(g * y)
-        _accum(sx, y * (g - dot))
-
-    return _apply(y, (x,), backward, "softmax")
 
 
 def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
@@ -778,9 +633,8 @@ def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
         blocked = blocked[:, None]  # over heads
 
     parts = qkv.data.reshape(nw, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
-    q = parts[0] * scale  # (nw, heads, T, hd)
     k, v = parts[1], parts[2]
-    logits = q @ k.swapaxes(-1, -2)
+    logits = (parts[0] * scale) @ k.swapaxes(-1, -2)  # queries (nw, heads, T, hd)
     logits += table.data[rel_index].transpose(2, 0, 1)
     # windows as (images, masks): the mask broadcasts over the images
     shape5 = (nw // n_masks, n_masks, heads, t, t)
@@ -800,7 +654,9 @@ def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
             d_q, d_k, d_v = d_qkv.transpose(2, 0, 3, 1, 4)
             np.matmul(d_logits, k, out=d_q)
             d_q *= scale
-            np.matmul(d_logits.swapaxes(-1, -2), q, out=d_k)
+            # the scaled queries again: k and v already pin qkv, so keeping
+            # the forward's copy would hold the queries twice
+            np.matmul(d_logits.swapaxes(-1, -2), parts[0] * scale, out=d_k)
             np.matmul(attn.swapaxes(-1, -2), g4, out=d_v)
             _accum(sqkv, d_qkv.reshape(sqkv.shape))
         if st is not None:

@@ -68,11 +68,6 @@ def iou_from_counts(counts) -> tuple:
     return per_class, float(per_class.mean())
 
 
-def iou(pred_mask: np.ndarray, gt_mask: np.ndarray) -> tuple:
-    """Per-class IoU and their mean over leading class axis; empty/empty -> 1."""
-    return iou_from_counts(iou_counts(pred_mask, gt_mask))
-
-
 def accuracy(preds, gts) -> float:
     """Fraction of agreements after thresholding both sides at 0.5."""
     p = np.asarray(preds, dtype=np.float64).reshape(-1)

@@ -94,20 +94,17 @@ def bilinear_resize(src: Tensor, out_h: int, out_w: int) -> Tensor:
     """
     if src.ndim != 4:
         raise ContractError(f"bilinear_resize expects (B,H,W,C), got {src.shape}")
-    b, h, w, c = src.shape
+    h, w = src.shape[1:3]
     if out_h < 1 or out_w < 1:
         raise ContractError(f"output extent must be positive, got {out_h}x{out_w}")
     if h < 1 or w < 1:
         raise ContractError(f"input extents must be positive, got {h}x{w}")
     if out_h == h and out_w == w:
         return src
-    rh = Tensor(_interp_matrix(out_h, h, src.dtype))
+    rh_t = Tensor(_interp_matrix(out_h, h, src.dtype).T)
     rw_t = Tensor(_interp_matrix(out_w, w, src.dtype).T)
-    x = ad.reshape(src, (b, h, w * c))
-    x = ad.matmul(rh, x)  # (b, out_h, w*c) via broadcast
-    x = ad.reshape(x, (b, out_h, w, c))
-    x = ad.transpose(x, (0, 1, 3, 2))  # (b, out_h, c, w)
-    x = ad.matmul(x, rw_t)  # (b, out_h, c, out_w)
+    x = ad.linear(ad.transpose(src, (0, 2, 3, 1)), rh_t)  # (b, w, c, out_h)
+    x = ad.linear(ad.transpose(x, (0, 3, 2, 1)), rw_t)  # (b, out_h, c, out_w)
     return ad.transpose(x, (0, 1, 3, 2))
 
 

@@ -35,11 +35,6 @@ REPORT_FIELDS = ("ss_metric", "wp_metric", "str_metric", "thr_metric",
                  "brk_metric", "redl_metric", "stops_metric")
 
 
-def seg_loss(pred: Tensor, gt: Tensor) -> Tensor:
-    """Mean binary cross-entropy plus global soft Dice on sigmoid probabilities."""
-    return ad.bce_dice(pred, gt)
-
-
 def l1_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean absolute difference over all elements."""
     if pred.shape != gt.shape:
@@ -160,8 +155,8 @@ def compute_task_losses(out: ModelOutput, batch) -> Dict[str, Tensor]:
         return Tensor(np.asarray(batch[key], dtype=dtype))
 
     return {
-        "seg": _guarded("seg", lambda: seg_loss(ad.sigmoid(out.seg_logits),
-                                                target("seg_gt"))),
+        "seg": _guarded("seg", lambda: ad.bce_dice(ad.sigmoid(out.seg_logits),
+                                                   target("seg_gt"))),
         "tl": _guarded("tl", lambda: l1_loss(out.tl_prob, target("tl_gt"))),
         "ss": _guarded("ss", lambda: l1_loss(out.ss_prob, target("ss_gt"))),
         "st": _guarded("st", lambda: l1_loss(out.steering, _column(batch, 0, dtype))),

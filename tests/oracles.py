@@ -1,12 +1,95 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written directly from the underlying math with plain
-loops where possible, deliberately sharing no code with the library.
+loops where possible, deliberately sharing no code with the library. The
+exceptions are the test-only ops below and the old Swin block built from
+them: they record on the package's tape, so their gradients can be
+checked and compared with the package's.
 """
 
 import math
 
 import numpy as np
+
+from skgedrive import autodiff as ad
+
+
+# Test-only ops on the package's tape: the sums and the old Swin block's
+# building blocks, which no part of the program records. Each follows the
+# package's rules: the output is checked for finiteness by _apply, and a
+# backward closure keeps only the arrays it reads.
+
+def sum_(a, axis=None, keepdims=False):
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g, sa):
+        gg = g
+        if axis is not None and not keepdims:
+            gg = np.expand_dims(gg, axis)
+        # a read-only broadcast view, stored as is by _accum
+        ad._accum(sa, np.broadcast_to(gg, sa.shape).astype(sa.dtype, copy=False))
+
+    return ad._apply(out_data, (a,), backward, "sum")
+
+
+def matmul(a, b):
+    """a @ b with numpy's batching over leading axes."""
+    ad._check_dtypes(a, b, "matmul")
+    # each operand is read only for the other one's gradient
+    a_data = a.data if ad._needs(b) else None
+    b_data = b.data if ad._needs(a) else None
+
+    def backward(g, sa, sb):
+        if sa is not None:
+            ad._accum(sa, ad._unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), sa.shape))
+        if sb is not None:
+            ad._accum(sb, ad._unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), sb.shape))
+
+    return ad._apply(np.matmul(a.data, b.data), (a, b), backward, "matmul")
+
+
+def pad2d(a, axis_pads):
+    """Zero-pad; axis_pads is a per-axis list of (before, after)."""
+    def backward(g, sa):
+        idx = tuple(slice(b, g.shape[i] - aft if aft else None)
+                    for i, (b, aft) in enumerate(axis_pads))
+        ad._accum(sa, g[idx])
+
+    return ad._apply(np.pad(a.data, axis_pads), (a,), backward, "pad")
+
+
+def roll2d(a, shifts, axes):
+    shifts = tuple(shifts)
+    axes = tuple(axes)
+
+    def backward(g, sa):
+        ad._accum(sa, np.roll(g, tuple(-s for s in shifts), axis=axes))
+
+    return ad._apply(np.roll(a.data, shifts, axis=axes), (a,), backward, "roll")
+
+
+def gather_rows(table, idx):
+    """out[k] = table[idx[k]]; scatter-add on the way back."""
+    idx = np.asarray(idx)
+
+    def backward(g, st):
+        gt = np.zeros(st.shape, st.dtype)
+        np.add.at(gt, idx, g)
+        ad._accum(st, gt)
+
+    return ad._apply(table.data[idx], (table,), backward, "gather_rows")
+
+
+def softmax_lastdim(x, blocked=None):
+    """The package's masked softmax kernel as an op of its own: blocked,
+    when given, is a boolean array broadcastable to x whose True entries
+    get weight exactly 0."""
+    y = ad._masked_softmax(x.data, blocked)
+
+    def backward(g, sx):
+        ad._accum(sx, y * (g - ad._row_sum(g * y)))
+
+    return ad._apply(y, (x,), backward, "softmax")
 
 
 def bilinear_positions(n_out, n_in):
@@ -166,11 +249,9 @@ def swin_block_reference(blk, x):
     """A SwinBlock's forward as pad, roll, window partition and per-head
     attention, each its own op: the composition the fused block replaced.
 
-    Built from the package's primitive autodiff ops and the block's own
-    modules, so gradients can be compared with the block's as well.
+    Built from the test-only ops above, the package's ops and the block's
+    own modules, so gradients can be compared with the block's as well.
     """
-    from skgedrive import autodiff as ad
-
     b, h, ww, c = x.shape
     w, s = blk.window, blk.shift
     attn = blk.attn
@@ -179,9 +260,9 @@ def swin_block_reference(blk, x):
     shortcut = x
     x = blk.norm1(x)
     if (hp, wp) != (h, ww):
-        x = ad.pad2d(x, ((0, 0), (0, hp - h), (0, wp - ww), (0, 0)))
+        x = pad2d(x, ((0, 0), (0, hp - h), (0, wp - ww), (0, 0)))
     if s:
-        x = ad.roll2d(x, (-s, -s), (1, 2))
+        x = roll2d(x, (-s, -s), (1, 2))
     x = ad.reshape(x, (b, hp // w, w, wp // w, w, c))
     x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
     windows = ad.reshape(x, (-1, t, c))
@@ -208,18 +289,18 @@ def swin_block_reference(blk, x):
         return ad.transpose(ad.reshape(z, (nw, t, heads, hd)), (0, 2, 1, 3))
 
     q, k, v = heads_first(0), heads_first(c), heads_first(2 * c)
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), attn.scale)
-    bias = ad.gather_rows(attn.rel_bias, attn._rel_index.reshape(-1))
+    logits = ad.mul(matmul(q, ad.transpose(k, (0, 1, 3, 2))), attn.scale)
+    bias = gather_rows(attn.rel_bias, attn._rel_index.reshape(-1))
     logits = ad.add(logits, ad.transpose(ad.reshape(bias, (t, t, heads)), (2, 0, 1)))
-    weights = ad.softmax_lastdim(logits, blocked=blocked)
-    out = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (nw, t, c))
+    weights = softmax_lastdim(logits, blocked=blocked)
+    out = ad.reshape(ad.transpose(matmul(weights, v), (0, 2, 1, 3)), (nw, t, c))
     out = attn.proj(out)
 
     x = ad.reshape(out, (b, hp // w, wp // w, w, w, c))
     x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
     x = ad.reshape(x, (b, hp, wp, c))
     if s:
-        x = ad.roll2d(x, (s, s), (1, 2))
+        x = roll2d(x, (s, s), (1, 2))
     if (hp, wp) != (h, ww):
         x = ad.slice_(x, (slice(None), slice(0, h), slice(0, ww), slice(None)))
     x = ad.add(shortcut, x)

@@ -27,7 +27,7 @@ from skgedrive.scoring import (PENALTIES, DriveLog, driving_score,
                                infraction_penalty, read_drive_log)
 from skgedrive.skge import bilinear_resize
 from skgedrive.training import (TASKS, TaskWeights, compute_task_losses, fit,
-                                mgn_update, seg_loss, total_loss)
+                                mgn_update, total_loss)
 from skgedrive.cli import REPORT_FIELDS, _load_model_from_ckpt, evaluate_dataset
 
 from oracles import bilinear_reference, window_id_grid
@@ -260,7 +260,7 @@ def test_acceptance_loss_stack(capsys):
         gt = np.zeros((2, 4, 8, 8))
         gt[0, 1, :3] = 1.0
         gt[1, 2, 4:] = 1.0
-        assert abs(seg_loss(Tensor(gt.copy()), Tensor(gt)).item()) < 1e-5
+        assert abs(ad.bce_dice(Tensor(gt.copy()), Tensor(gt)).item()) < 1e-5
 
         rng = np.random.default_rng(4)
         vals = rng.uniform(0.1, 3.0, 7)

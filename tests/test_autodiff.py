@@ -1,4 +1,8 @@
+import contextlib
+import inspect
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,12 @@ from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor, grad_check, grad_check_params
 from skgedrive.errors import ContractError, DataError, NumericError, ShapeError
 
-from oracles import (bce_dice_composed, bce_reference, dice_reference,
+from oracles import (bce_dice_composed, bce_reference, dice_reference, gather_rows,
                      gelu_composed, gelu_reference, layer_norm_composed,
-                     layer_norm_reference, masked_softmax_composed,
-                     sigmoid_composed, sigmoid_where_reference,
-                     softmax_reference, window_attention_composed)
+                     layer_norm_reference, masked_softmax_composed, matmul, pad2d,
+                     roll2d, sigmoid_composed, sigmoid_where_reference,
+                     softmax_lastdim, softmax_reference, sum_,
+                     window_attention_composed)
 
 N_TRIALS = 50
 
@@ -32,8 +37,6 @@ def _op_cases(rng):
     b3 = _rand(rng, (3,))
     m34 = _rand(rng, (3, 4))
     m42 = _rand(rng, (4, 2))
-    pos = np.abs(_rand(rng, (2, 3))) + 0.5
-    nonzero = np.sign(_rand(rng, (2, 3))) * (np.abs(_rand(rng, (2, 3))) + 0.5)
     away_from_zero = np.sign(_rand(rng, (2, 3))) * (np.abs(_rand(rng, (2, 3))) + 0.1)
     gamma = _rand(rng, (4,), 0.5, 1.5)
     beta = _rand(rng, (4,))
@@ -57,59 +60,53 @@ def _op_cases(rng):
     binary = _t((rng.random((2, 3, 4)) < 0.4).astype(np.float64), False)
 
     cases = {
-        "add": (lambda x: ad.sum_(ad.add(x, _t(b3, False))), a23),
-        "add_broadcast_rhs": (lambda x: ad.sum_(ad.add(_t(a23, False), x)), b3),
-        "sub": (lambda x: ad.sum_(ad.sub(x, _t(b3, False))), a23),
-        "mul": (lambda x: ad.sum_(ad.mul(x, _t(b3, False))), a23),
-        "div": (lambda x: ad.sum_(ad.div(_t(a23, False), x)), nonzero),
-        "pow_cube": (lambda x: ad.sum_(ad.pow_(x, 3.0)), a23),
-        "pow_sqrt": (lambda x: ad.sum_(ad.pow_(x, 0.5)), pos),
-        "abs": (lambda x: ad.sum_(ad.abs_(x)), away_from_zero),
-        "clamp": (lambda x: ad.sum_(ad.clamp(x, -1.3, 1.3)), a23),
-        "exp": (lambda x: ad.sum_(ad.exp(x)), a23),
-        "log": (lambda x: ad.sum_(ad.log(x)), pos),
-        "tanh": (lambda x: ad.sum_(ad.tanh(x)), a23),
-        "sigmoid": (lambda x: ad.sum_(ad.sigmoid(x)), a23),
-        "gelu": (lambda x: ad.sum_(ad.gelu(x)), a23),
-        "sum_axis": (lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0), _t(b3, False))), a23),
+        "add": (lambda x: sum_(ad.add(x, _t(b3, False))), a23),
+        "add_broadcast_rhs": (lambda x: sum_(ad.add(_t(a23, False), x)), b3),
+        "sub": (lambda x: sum_(ad.sub(x, _t(b3, False))), a23),
+        "mul": (lambda x: sum_(ad.mul(x, _t(b3, False))), a23),
+        "abs": (lambda x: sum_(ad.abs_(x)), away_from_zero),
+        "tanh": (lambda x: sum_(ad.tanh(x)), a23),
+        "sigmoid": (lambda x: sum_(ad.sigmoid(x)), a23),
+        "gelu": (lambda x: sum_(ad.gelu(x)), a23),
+        "sum_axis": (lambda x: sum_(ad.mul(sum_(x, axis=0), _t(b3, False))), a23),
         "mean_all": (lambda x: ad.mean(x), a234),
         "mean_axis_tuple": (
-            lambda x: ad.sum_(ad.mul(ad.mean(x, axis=(0, 2)), _t(b3, False))), a234),
-        "reshape": (lambda x: ad.sum_(ad.mul(ad.reshape(x, (6,)), w6)), a23),
-        "transpose": (lambda x: ad.sum_(ad.mul(ad.transpose(x, (2, 0, 1)), w423)), a234),
-        "concat": (lambda x: ad.sum_(ad.mul(ad.concat([x, _t(a23, False)], 0), w43)), a23),
-        "slice": (lambda x: ad.sum_(ad.slice_(x, (slice(0, 2), slice(1, 3)))), a23),
-        "pad2d": (lambda x: ad.sum_(ad.mul(ad.pad2d(x, ((1, 0), (0, 2))), w35)), a23),
-        "roll2d": (lambda x: ad.sum_(ad.mul(ad.roll2d(x, (1, -1), (0, 1)), w23)), a23),
-        "gather_rows": (lambda x: ad.sum_(ad.mul(ad.gather_rows(x, idx), w63)), a23),
-        "matmul_lhs": (lambda x: ad.sum_(ad.matmul(x, _t(m42, False))), m34),
-        "matmul_rhs": (lambda x: ad.sum_(ad.matmul(_t(m34, False), x)), m42),
-        "matmul_batched": (lambda x: ad.sum_(ad.matmul(x, m242)), a234),
+            lambda x: sum_(ad.mul(ad.mean(x, axis=(0, 2)), _t(b3, False))), a234),
+        "reshape": (lambda x: sum_(ad.mul(ad.reshape(x, (6,)), w6)), a23),
+        "transpose": (lambda x: sum_(ad.mul(ad.transpose(x, (2, 0, 1)), w423)), a234),
+        "concat": (lambda x: sum_(ad.mul(ad.concat([x, _t(a23, False)], 0), w43)), a23),
+        "slice": (lambda x: sum_(ad.slice_(x, (slice(0, 2), slice(1, 3)))), a23),
+        "pad2d": (lambda x: sum_(ad.mul(pad2d(x, ((1, 0), (0, 2))), w35)), a23),
+        "roll2d": (lambda x: sum_(ad.mul(roll2d(x, (1, -1), (0, 1)), w23)), a23),
+        "gather_rows": (lambda x: sum_(ad.mul(gather_rows(x, idx), w63)), a23),
+        "matmul_lhs": (lambda x: sum_(matmul(x, _t(m42, False))), m34),
+        "matmul_rhs": (lambda x: sum_(matmul(_t(m34, False), x)), m42),
+        "matmul_batched": (lambda x: sum_(matmul(x, m242)), a234),
         "matmul_rhs_under_3d_lhs": (
-            lambda x: ad.sum_(ad.mul(ad.matmul(_t(a234, False), x), w232)), m42),
+            lambda x: sum_(ad.mul(matmul(_t(a234, False), x), w232)), m42),
         "linear_x": (
-            lambda x: ad.sum_(ad.mul(ad.linear(x, _t(m43, False), _t(b3, False)), w2323)),
+            lambda x: sum_(ad.mul(ad.linear(x, _t(m43, False), _t(b3, False)), w2323)),
             x2324),
         "linear_w": (
-            lambda w: ad.sum_(ad.mul(ad.linear(_t(x2324, False), w, _t(b3, False)), w2323)),
+            lambda w: sum_(ad.mul(ad.linear(_t(x2324, False), w, _t(b3, False)), w2323)),
             m43),
         "linear_bias": (
-            lambda b: ad.sum_(ad.mul(ad.linear(_t(x2324, False), _t(m43, False), b), w2323)),
+            lambda b: sum_(ad.mul(ad.linear(_t(x2324, False), _t(m43, False), b), w2323)),
             b3),
         "linear_no_bias": (
-            lambda w: ad.sum_(ad.mul(ad.linear(_t(x2324, False), w), w2323)), m43),
+            lambda w: sum_(ad.mul(ad.linear(_t(x2324, False), w), w2323)), m43),
         "bce_dice": (lambda x: ad.bce_dice(x, binary), prob),
-        "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax_lastdim(x), w234)), a234),
+        "softmax": (lambda x: sum_(ad.mul(softmax_lastdim(x), w234)), a234),
         "softmax_masked": (
-            lambda x: ad.sum_(ad.mul(ad.softmax_lastdim(x, blocked=mask), w233)),
+            lambda x: sum_(ad.mul(softmax_lastdim(x, blocked=mask), w233)),
             _rand(rng, (2, 3, 3))),
         "layer_norm": (
-            lambda x: ad.sum_(ad.mul(ad.layer_norm(x, _t(gamma, False), _t(beta, False)),
+            lambda x: sum_(ad.mul(ad.layer_norm(x, _t(gamma, False), _t(beta, False)),
                                      w234)), a234),
         "layer_norm_gamma": (
-            lambda g: ad.sum_(ad.layer_norm(_t(a234, False), g, _t(beta, False))), gamma),
+            lambda g: sum_(ad.layer_norm(_t(a234, False), g, _t(beta, False))), gamma),
         "layer_norm_beta": (
-            lambda b: ad.sum_(ad.layer_norm(_t(a234, False), _t(gamma, False), b)), beta),
+            lambda b: sum_(ad.layer_norm(_t(a234, False), _t(gamma, False), b)), beta),
     }
 
     # drawn after the older cases' inputs, so those stay as they were
@@ -130,14 +127,14 @@ def _op_cases(rng):
 
     def attention(x, tb, blocked):
         out, _ = ad.window_attention(x, tb, rel, blocked, 2, 0.7)
-        return ad.sum_(ad.mul(out, w444))
+        return sum_(ad.mul(out, w444))
 
     cases.update({
         "permute_rows": (
-            lambda x: ad.sum_(ad.mul(ad.permute_rows(x, perm_idx, perm_inv, (2, 7, 3)),
+            lambda x: sum_(ad.mul(ad.permute_rows(x, perm_idx, perm_inv, (2, 7, 3)),
                                      w273)), rows5),
         "permute_rows_inverse": (
-            lambda x: ad.sum_(ad.mul(ad.permute_rows(x, perm_inv, perm_idx, (2, 5, 3)),
+            lambda x: sum_(ad.mul(ad.permute_rows(x, perm_inv, perm_idx, (2, 5, 3)),
                                      w253)), rows7),
         "window_attention": (lambda x: attention(x, _t(table, False), None), qkv),
         "window_attention_masked": (lambda x: attention(x, _t(table, False), win_mask), qkv),
@@ -166,14 +163,14 @@ def test_matmul_sum_gradient_tight():
     rng = np.random.default_rng(5)
     a = _t(rng.standard_normal((3, 4)))
     b = _t(rng.standard_normal((4, 2)), grad=False)
-    err = grad_check(lambda x: ad.sum_(ad.matmul(x, b)), a)
+    err = grad_check(lambda x: sum_(matmul(x, b)), a)
     assert err < 1e-6
 
 
 def test_leaf_gradients_accumulate_across_uses():
     x = _t([1.0, 2.0])
     with Tape() as tape:
-        y = ad.sum_(ad.add(ad.mul(x, 3.0), x))
+        y = sum_(ad.add(ad.mul(x, 3.0), x))
         tape.backward(y)
     np.testing.assert_allclose(x.grad, [4.0, 4.0])
 
@@ -181,7 +178,7 @@ def test_leaf_gradients_accumulate_across_uses():
 def test_backward_twice_accumulates_leaf_grads():
     x = _t([1.5])
     with Tape() as tape:
-        y = ad.sum_(ad.mul(x, x))
+        y = sum_(ad.mul(x, x))
         tape.backward(y)
         g1 = x.grad.copy()
         tape.backward(y)
@@ -196,7 +193,7 @@ def _fan_out_graph(rng, dtype):
     beta = Tensor(np.zeros(6, dtype=dtype), requires_grad=True)
     h = ad.layer_norm(ad.linear(x, w), gamma, beta)
     first = ad.mean(ad.mul(ad.add(ad.gelu(h), h), h))
-    second = ad.sum_(ad.mul(h, 0.5))
+    second = sum_(ad.mul(h, 0.5))
     return (x, w, gamma, beta), first, second
 
 
@@ -232,7 +229,6 @@ def _liveness_cases(rng):
         return _t(_rand(rng, shape), False)
 
     a23 = _rand(rng, (2, 3))
-    pos = _rand(rng, (2, 3), 0.5, 2.0)
     prob = _rand(rng, (2, 3), 0.05, 0.95)
     binary = _t((rng.random((2, 3)) < 0.4).astype(np.float64), False)
     perm = np.array([2, 0, 3, 1])
@@ -244,34 +240,29 @@ def _liveness_cases(rng):
         "sub": (a23, lambda h: ad.sub(const(2, 3), h), False, False),
         "mul": (a23, lambda h: ad.mul(h, const(2, 3)), False, False),
         "mul_by_leaf": (a23, lambda h: ad.mul(h, leaf(2, 3)), True, False),
-        "div": (a23, lambda h: ad.div(h, _t(pos, False)), False, False),
-        "div_by_leaf": (a23, lambda h: ad.div(h, _t(pos)), True, False),
-        "pow": (a23, lambda h: ad.pow_(h, 2.0), True, False),
         "abs": (a23, ad.abs_, True, False),
-        "clamp": (a23, lambda h: ad.clamp(h, -0.5, 0.5), False, False),
-        "exp": (a23, ad.exp, False, True),
-        "log": (pos, ad.log, True, False),
         "tanh": (a23, ad.tanh, False, True),
         "sigmoid": (a23, ad.sigmoid, False, True),
         "gelu": (a23, ad.gelu, False, False),
         "bce_dice": (prob, lambda h: ad.bce_dice(h, binary), False, False),
-        "sum": (a23, lambda h: ad.sum_(h, axis=1), False, False),
+        "sum": (a23, lambda h: sum_(h, axis=1), False, False),
         "mean": (a23, lambda h: ad.mean(h, axis=0), False, False),
         "reshape": (a23, lambda h: ad.reshape(h, (3, 2)), False, False),
         "transpose": (a23, lambda h: ad.transpose(h, (1, 0)), False, False),
         "concat": (a23, lambda h: ad.concat([h, leaf(2, 3)], axis=1), False, False),
         "slice": (a23, lambda h: ad.slice_(h, (slice(None), slice(1, 3))), False, False),
-        "pad2d": (a23, lambda h: ad.pad2d(h, [(1, 0), (0, 2)]), False, False),
-        "roll2d": (a23, lambda h: ad.roll2d(h, (1, 1), (0, 1)), False, False),
-        "gather_rows": (a23, lambda h: ad.gather_rows(h, np.array([1, 0, 1])), False, False),
+        "pad2d": (a23, lambda h: pad2d(h, [(1, 0), (0, 2)]), False, False),
+        "roll2d": (a23, lambda h: roll2d(h, (1, 1), (0, 1)), False, False),
+        "gather_rows": (a23, lambda h: gather_rows(h, np.array([1, 0, 1])), False, False),
         "permute_rows": (_rand(rng, (1, 4, 2)),
                          lambda h: ad.permute_rows(h, perm, np.argsort(perm), (1, 4, 2)),
                          False, False),
         "linear": (a23, lambda h: ad.linear(h, leaf(3, 4), leaf(4)), True, False),
-        "matmul": (_rand(rng, (2, 2, 3)), lambda h: ad.matmul(h, const(2, 3, 4)), False, False),
-        "matmul_by_leaf": (_rand(rng, (2, 2, 3)), lambda h: ad.matmul(h, leaf(2, 3, 4)),
+        "linear_by_constant": (a23, lambda h: ad.linear(h, const(3, 4)), False, False),
+        "matmul": (_rand(rng, (2, 2, 3)), lambda h: matmul(h, const(2, 3, 4)), False, False),
+        "matmul_by_leaf": (_rand(rng, (2, 2, 3)), lambda h: matmul(h, leaf(2, 3, 4)),
                            True, False),
-        "softmax": (a23, ad.softmax_lastdim, False, True),
+        "softmax": (a23, softmax_lastdim, False, True),
         "window_attention": (qkv, lambda h: ad.window_attention(h, table, rel, None, 2, 0.5)[0],
                              True, False),
         "layer_norm": (a23, lambda h: ad.layer_norm(h, leaf(3), leaf(3)), False, False),
@@ -285,7 +276,7 @@ def test_a_record_keeps_only_the_arrays_its_backward_reads(name):
     with Tape() as tape:
         h = ad.add(x, 0.0)  # an intermediate whose producer reads nothing
         out = op(h)
-        loss = ad.sum_(out)
+        loss = sum_(out)
     h_ref, out_ref = weakref.ref(h.data), weakref.ref(out.data)
     del h, out
     assert (h_ref() is not None) == reads_input
@@ -323,8 +314,8 @@ def test_shared_upstream_gradient_is_not_aliased(rng):
     w1 = _t(_dyadic(rng, 3), False)
     w2 = _t(_dyadic(rng, 3), False)
     with Tape() as tape:
-        loss = ad.add(ad.sum_(ad.mul(ad.sub(x, y), w2)),
-                      ad.sum_(ad.mul(ad.add(x, y), w1)))
+        loss = ad.add(sum_(ad.mul(ad.sub(x, y), w2)),
+                      sum_(ad.mul(ad.add(x, y), w1)))
         tape.backward(loss)
         gx, gy = x.grad.copy(), y.grad.copy()
         tape.backward(loss)
@@ -340,8 +331,8 @@ def test_first_write_from_sum_broadcast_view_then_more(rng):
     x = _t(_dyadic(rng, (2, 3)))
     w = _t(_dyadic(rng, (2, 3)), False)
     with Tape() as tape:
-        weighted = ad.sum_(ad.mul(x, w))
-        loss = ad.add(weighted, ad.sum_(x))
+        weighted = sum_(ad.mul(x, w))
+        loss = ad.add(weighted, sum_(x))
         tape.backward(loss)
         g1 = x.grad.copy()
         tape.backward(loss)
@@ -368,7 +359,7 @@ def test_gradient_is_never_written_in_place(rng):
     x = _t(_dyadic(rng, (2, 3)))
     w = _t(_dyadic(rng, (2, 3)), False)
     with Tape() as tape:
-        loss = ad.add(ad.sum_(ad.mul(x, w)), ad.sum_(x))
+        loss = ad.add(sum_(ad.mul(x, w)), sum_(x))
         tape.backward(loss)
         g1 = x.grad
         before = g1.copy()
@@ -441,13 +432,89 @@ def test_backward_requires_scalar():
 
 
 def test_non_finite_result_raises():
-    with Tape():
+    # finite inputs whose result overflows; numpy's own warning is silenced
+    # so that the op's check is what fires
+    big = _t([1e200, 1.0])
+    with Tape(), np.errstate(over="ignore"):
         with pytest.raises(NumericError):
-            ad.log(_t([0.0, 1.0]))
+            ad.mul(big, big)
         with pytest.raises(NumericError):
-            ad.exp(_t([1000.0]))
+            ad.add(_t([1.7e308]), _t([1.7e308]))
         with pytest.raises(NumericError):
-            ad.div(_t([1.0]), _t([0.0]))
+            ad.linear(_t([[1e200, 1e200]]), _t([[1e200], [1e200]]))
+
+
+# every public op, as (input shape, the op applied to an input x)
+_NAN_CASES = {
+    "add": ((2, 3), lambda x: ad.add(x, 1.0)),
+    "sub": ((2, 3), lambda x: ad.sub(x, 1.0)),
+    "mul": ((2, 3), lambda x: ad.mul(x, 2.0)),
+    "abs_": ((2, 3), ad.abs_),
+    "tanh": ((2, 3), ad.tanh),
+    "sigmoid": ((2, 3), ad.sigmoid),
+    "gelu": ((2, 3), ad.gelu),
+    "bce_dice": ((2, 3), lambda x: ad.bce_dice(x, _t(np.zeros((2, 3)), False))),
+    "mean": ((2, 3), ad.mean),
+    "reshape": ((2, 3), lambda x: ad.reshape(x, (3, 2))),
+    "transpose": ((2, 3), lambda x: ad.transpose(x, (1, 0))),
+    "concat": ((2, 3), lambda x: ad.concat([x, x], 0)),
+    "slice_": ((2, 3), lambda x: ad.slice_(x, (slice(0, 1),))),
+    "permute_rows": ((1, 3, 2), lambda x: ad.permute_rows(
+        x, np.array([2, 0, 1]), np.array([1, 2, 0]), (1, 3, 2))),
+    "linear": ((2, 3), lambda x: ad.linear(x, _t(np.ones((3, 4)), False))),
+    "window_attention": ((2, 4, 12), lambda x: ad.window_attention(
+        x, _t(np.zeros((9, 2)), False), np.zeros((4, 4), dtype=int), None, 2, 0.5)),
+    "layer_norm": ((2, 3), lambda x: ad.layer_norm(
+        x, _t(np.ones(3), False), _t(np.zeros(3), False))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_CASES))
+def test_a_nan_input_raises(name, rng):
+    shape, op = _NAN_CASES[name]
+    x0 = rng.uniform(0.1, 0.9, size=shape)
+    x0.flat[0] = np.nan
+    for recording in (False, True):
+        x = _t(x0, grad=recording)
+        with Tape() if recording else contextlib.nullcontext():
+            with pytest.raises(NumericError, match="non-finite"):
+                op(x)
+
+
+# autodiff functions that are not ops
+NOT_OPS = {"grad_check", "grad_check_params", "active_tape"}
+
+
+def _public_ops():
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_") and name not in NOT_OPS)
+
+
+def test_every_op_has_a_caller_in_the_program_and_a_gradient_case(monkeypatch):
+    """An op that only tests reach belongs in tests/oracles.py; every op the
+    program records is checked by the finite-difference sweep and by the
+    NaN test."""
+    ops = _public_ops()
+    package = Path(ad.__file__).parent
+    program = "".join(p.read_text() for p in sorted(package.glob("*.py"))
+                      if p.name != "autodiff.py")
+    assert [op for op in ops if not re.search(rf"\bad\.{op}\(", program)] == []
+
+    calls = dict.fromkeys(ops, 0)
+
+    def counted(op, fn):
+        def wrapper(*args, **kwargs):
+            calls[op] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for op in ops:
+        monkeypatch.setattr(ad, op, counted(op, getattr(ad, op)))
+    for f, x0 in _op_cases(np.random.default_rng(0)).values():
+        f(_t(x0))
+    assert [op for op in ops if not calls[op]] == []
+    assert sorted(_NAN_CASES) == ops
 
 
 def test_mixed_dtypes_rejected():
@@ -459,25 +526,18 @@ def test_mixed_dtypes_rejected():
         ad.layer_norm(a, b, a)
 
 
-def test_clamp_passes_gradient_only_inside():
-    x = _t([-2.0, 0.0, 2.0])
-    with Tape() as tape:
-        tape.backward(ad.sum_(ad.clamp(x, -1.0, 1.0)))
-    np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-
 def test_abs_gradient_is_sign():
     x = _t([-3.0, 4.0])
     with Tape() as tape:
-        tape.backward(ad.sum_(ad.abs_(x)))
+        tape.backward(sum_(ad.abs_(x)))
     np.testing.assert_allclose(x.grad, [-1.0, 1.0])
 
 
 def test_gather_rows_accumulates_repeated_indices():
     table = _t(np.eye(3))
     with Tape() as tape:
-        picked = ad.gather_rows(table, np.array([1, 1, 1]))
-        tape.backward(ad.sum_(picked))
+        picked = gather_rows(table, np.array([1, 1, 1]))
+        tape.backward(sum_(picked))
     assert table.grad[1].sum() == 9.0 or np.allclose(table.grad[1], 3.0)
 
 
@@ -485,7 +545,7 @@ def test_broadcast_backward_shapes():
     a = _t(np.ones((2, 3)))
     b = _t(np.ones((3,)))
     with Tape() as tape:
-        tape.backward(ad.sum_(ad.add(a, b)))
+        tape.backward(sum_(ad.add(a, b)))
     assert a.grad.shape == (2, 3)
     assert b.grad.shape == (3,)
     np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
@@ -493,7 +553,7 @@ def test_broadcast_backward_shapes():
 
 def test_softmax_matches_reference(rng):
     x = rng.standard_normal((4, 7))
-    got = ad.softmax_lastdim(_t(x)).numpy()
+    got = softmax_lastdim(_t(x)).numpy()
     np.testing.assert_allclose(got, softmax_reference(x), atol=1e-12)
 
 
@@ -501,7 +561,7 @@ def test_masked_softmax_exact_zeros_rows_sum_to_one(rng):
     x = rng.standard_normal((5, 6))
     blocked = rng.random((5, 6)) < 0.4
     blocked[:, 0] = False  # keep one column open everywhere
-    p = ad.softmax_lastdim(_t(x), blocked=blocked).numpy()
+    p = softmax_lastdim(_t(x), blocked=blocked).numpy()
     assert np.all(p[blocked] == 0.0)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(p, softmax_reference(x, blocked), atol=1e-12)
@@ -511,12 +571,12 @@ def test_masked_softmax_fully_blocked_row_rejected():
     x = _t(np.zeros((1, 3)))
     blocked = np.ones((1, 3), dtype=bool)
     with pytest.raises(ContractError):
-        ad.softmax_lastdim(x, blocked=blocked)
+        softmax_lastdim(x, blocked=blocked)
 
 
 def test_masked_softmax_blocked_logit_cannot_overflow():
     x = _t([[0.0, 1000.0]])
-    p = ad.softmax_lastdim(x, blocked=np.array([[False, True]])).numpy()
+    p = softmax_lastdim(x, blocked=np.array([[False, True]])).numpy()
     assert np.array_equal(p, [[1.0, 0.0]])
 
 
@@ -538,6 +598,20 @@ def test_window_attention_mask_contract(rng):
         ad.window_attention(qkv, table, rel, np.zeros((2, 4, 3), dtype=bool), 2, 0.5)
     with pytest.raises(ShapeError):
         ad.window_attention(qkv, table, rel, None, 5, 0.5)
+
+
+def test_window_attention_record_keeps_no_array_of_its_own_but_the_weights(rng):
+    # the backward reads queries, keys and values through views of qkv
+    qkv, table, rel = _attention_inputs(rng)
+    with Tape() as tape:
+        _, attn = ad.window_attention(qkv, table, rel, None, 2, 0.5)
+    (rec,) = tape.records
+    arrays = [c.cell_contents for c in rec.backward.__closure__
+              if isinstance(c.cell_contents, np.ndarray)]
+    assert any(a is attn for a in arrays)
+    own = [a for a in arrays
+           if a is not attn and a is not rel and not np.shares_memory(a, qkv.data)]
+    assert not own
 
 
 def test_window_attention_matches_per_head_softmax(rng):
@@ -584,7 +658,7 @@ def test_grad_check_flags_wrong_gradient():
 
     def f(t):
         y = ad.mul(t, t)
-        return ad.sum_(ad.mul(y, Tensor(t.data)))  # value x^3 but grad of x^2 * const
+        return sum_(ad.mul(y, Tensor(t.data)))  # value x^3 but grad of x^2 * const
 
     err = grad_check(f, x)
     assert err > 1e-2
@@ -596,7 +670,7 @@ def test_grad_check_params_reports_per_tensor(rng):
     x = rng.standard_normal((4, 3))
 
     def f():
-        return ad.sum_(ad.add(ad.matmul(_t(x, False), w), b))
+        return sum_(ad.add(matmul(_t(x, False), w), b))
 
     errs = grad_check_params(f, [("w", w), ("b", b)], rng=np.random.default_rng(3))
     assert set(errs) == {"w", "b"}
@@ -606,7 +680,7 @@ def test_grad_check_params_reports_per_tensor(rng):
 def test_grad_check_params_requires_float64():
     w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError):
-        grad_check_params(lambda: ad.sum_(w), [("w", w)])
+        grad_check_params(lambda: sum_(w), [("w", w)])
 
 
 # The rewritten kernels against the composed formulas in oracles.py. Channel
@@ -629,7 +703,7 @@ def _run(op, inputs, g):
     ts = [Tensor(a, requires_grad=True) for a in inputs]
     with Tape() as tape:
         out = op(*ts)
-        tape.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        tape.backward(sum_(ad.mul(out, Tensor(g))))
     return out.numpy(), [t.grad for t in ts]
 
 
@@ -704,7 +778,7 @@ def test_softmax_matches_composed(dtype, masked):
     g = rng.standard_normal(x.shape).astype(dtype)
     want = masked_softmax_composed(x, blocked)
     want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
-    got, (grad,) = _run(lambda t: ad.softmax_lastdim(t, blocked), [x], g)
+    got, (grad,) = _run(lambda t: softmax_lastdim(t, blocked), [x], g)
     _assert_near(got, want)
     _assert_near(grad, want_grad)
 

@@ -8,7 +8,7 @@ from skgedrive.backbone import (BackboneConfig, PatchEmbed, PatchMerging,
                                 window_index)
 from skgedrive.errors import ConfigError, ContractError
 
-from oracles import swin_block_reference, window_id_grid
+from oracles import sum_, swin_block_reference, window_id_grid
 
 
 def _cfg(**kw):
@@ -152,7 +152,7 @@ def test_swin_block_matches_old_composition(rng, shift, grid, batch):
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:
             y = forward(x)
-            tape.backward(ad.sum_(ad.mul(y, w)))
+            tape.backward(sum_(ad.mul(y, w)))
         results.append((y.numpy(), x.grad, [p.grad for p in blk.parameters()]))
     (y, gx, gp), (y_ref, gx_ref, gp_ref) = results
     np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-10)
@@ -168,13 +168,13 @@ def test_swin_block_finite_differences(rng, shift, grid):
     blk = _block64(rng, 4, 2, shift)
     w = Tensor(rng.standard_normal((1, grid, grid, 4)))
     x0 = Tensor(rng.standard_normal((1, grid, grid, 4)))
-    assert ad.grad_check(lambda x: ad.sum_(ad.mul(blk(x), w)), x0) < 1e-7
+    assert ad.grad_check(lambda x: sum_(ad.mul(blk(x), w)), x0) < 1e-7
     table = blk.attn.rel_bias
 
     def of_table(tb):
         blk.attn.rel_bias = tb
         try:
-            return ad.sum_(ad.mul(blk(x0), w))
+            return sum_(ad.mul(blk(x0), w))
         finally:
             blk.attn.rel_bias = table
 
@@ -252,7 +252,7 @@ def test_patch_merging_gather_is_bitwise_quad_concat(rng):
         got = pm(x)
         assert len(tape.records) == 5   # three gather records, norm, reduction
         want = pm.reduction(pm.norm(quads))
-        tape.backward(ad.add(ad.sum_(ad.mul(got, w)), ad.sum_(ad.mul(want, w))))
+        tape.backward(ad.add(sum_(ad.mul(got, w)), sum_(ad.mul(want, w))))
     assert np.array_equal(got.numpy(), want.numpy())
     for k, (di, dj) in enumerate(offsets):
         assert np.array_equal(x.grad[:, di::2, dj::2], quads.grad[..., 3 * k:3 * k + 3])
@@ -299,7 +299,7 @@ def test_encoder_every_parameter_reaches_the_loss(rng):
         feats = enc.forward_stages(x)
         total = None
         for s in range(1, 5):
-            term = ad.sum_(feats[s])
+            term = sum_(feats[s])
             total = term if total is None else ad.add(total, term)
         tape.backward(total)
     missing = [n for n, p in enc.named_parameters() if p.grad is None]

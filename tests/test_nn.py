@@ -5,7 +5,7 @@ from skgedrive import autodiff as ad, nn
 from skgedrive.autodiff import Tape, Tensor
 from skgedrive.errors import ShapeError
 
-from oracles import gelu_reference, gru_reference, layer_norm_reference
+from oracles import gelu_reference, gru_reference, layer_norm_reference, sum_
 
 
 def _f64(module):
@@ -89,7 +89,7 @@ def test_gru_cell_gradients(rng):
     h0 = rng.standard_normal((1, 3))
 
     def f():
-        return ad.sum_(cell(Tensor(x0), Tensor(h0)))
+        return sum_(cell(Tensor(x0), Tensor(h0)))
 
     errs = ad.grad_check_params(f, list(cell.named_parameters()),
                                 coords_per_tensor=4, rng=np.random.default_rng(9))
@@ -112,7 +112,7 @@ def test_named_parameters_nested_modules(rng):
 def test_zero_grad_clears(rng):
     lin = _f64(nn.Linear(2, 1, rng))
     with Tape() as tape:
-        tape.backward(ad.sum_(lin(Tensor(np.ones((1, 2))))))
+        tape.backward(sum_(lin(Tensor(np.ones((1, 2))))))
     assert lin.weight.grad is not None
     lin.zero_grad()
     assert lin.weight.grad is None

@@ -6,8 +6,9 @@ import pytest
 from skgedrive.autodiff import Tensor
 from skgedrive.errors import ContractError, CorruptDataError, DataError
 from skgedrive.scoring import (PENALTIES, DriveLog, accuracy, driving_score,
-                               infraction_penalty, iou, mae, read_drive_log,
-                               route_completion, score_routes, write_drive_log)
+                               infraction_penalty, iou_counts, iou_from_counts, mae,
+                               read_drive_log, route_completion, score_routes,
+                               write_drive_log)
 from skgedrive.training import l1_loss
 
 from oracles import ip_reference, rc_reference
@@ -97,7 +98,7 @@ def test_iou_per_class_and_empty_union():
     pred[0, :2] = True
     gt[0, 1:3] = True
     gt[1, 0, 0] = True
-    per, mean = iou(pred, gt)
+    per, mean = iou_from_counts(iou_counts(pred, gt))
     assert per[0] == pytest.approx(8 / 24)
     assert per[1] == 0.0
     assert per[2] == 1.0   # empty prediction, empty truth
@@ -106,7 +107,7 @@ def test_iou_per_class_and_empty_union():
 
 def test_iou_shape_mismatch():
     with pytest.raises(ContractError):
-        iou(np.zeros((2, 3, 3), dtype=bool), np.zeros((2, 4, 4), dtype=bool))
+        iou_counts(np.zeros((2, 3, 3), dtype=bool), np.zeros((2, 4, 4), dtype=bool))
 
 
 def test_accuracy_thresholds_both_sides():

@@ -18,12 +18,12 @@ from skgedrive.data import synth_scene
 from skgedrive.errors import ContractError, DataError, ShapeError
 from skgedrive.heads import NUM_CLASSES, seg_argmax
 from skgedrive.model import build_model, make_batch
-from skgedrive.scoring import iou
+from skgedrive.scoring import iou_counts, iou_from_counts
 from skgedrive.training import (REPORT_FIELDS, TASKS, AdamW, TaskWeights,
                                 compute_task_losses, evaluate, fit, l1_loss,
-                                mgn_update, rebalance, seg_loss, total_loss)
+                                mgn_update, rebalance, total_loss)
 
-from oracles import bce_reference, dice_reference
+from oracles import bce_reference, dice_reference, sum_
 
 
 def test_task_order():
@@ -35,7 +35,7 @@ def test_seg_loss_matches_bce_plus_dice(seed):
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.01, 0.99, (2, 4, 6, 6))
     gt = (rng.random((2, 4, 6, 6)) < 0.3).astype(np.float64)
-    got = seg_loss(Tensor(p), Tensor(gt)).item()
+    got = ad.bce_dice(Tensor(p), Tensor(gt)).item()
     want = bce_reference(p, gt) + dice_reference(p, gt)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -43,15 +43,15 @@ def test_seg_loss_matches_bce_plus_dice(seed):
 def test_seg_loss_zero_when_perfect():
     gt = np.zeros((1, 3, 4, 4))
     gt[0, 1, :2] = 1.0
-    loss = seg_loss(Tensor(gt.copy()), Tensor(gt)).item()
+    loss = ad.bce_dice(Tensor(gt.copy()), Tensor(gt)).item()
     assert abs(loss) < 1e-5
 
 
 def test_seg_loss_rejects_soft_targets():
     with pytest.raises(DataError):
-        seg_loss(Tensor(np.full((1, 2, 2), 0.5)), Tensor(np.full((1, 2, 2), 0.5)))
+        ad.bce_dice(Tensor(np.full((1, 2, 2), 0.5)), Tensor(np.full((1, 2, 2), 0.5)))
     with pytest.raises(ShapeError):
-        seg_loss(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 2, 3))))
+        ad.bce_dice(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 2, 3))))
 
 
 def test_l1_loss_value_and_gradient():
@@ -122,7 +122,7 @@ def test_adamw_descends_quadratic():
     opt = AdamW([w], lr=0.1, weight_decay=0.0)
     for _ in range(200):
         with Tape() as tape:
-            loss = ad.sum_(ad.mul(w, w))
+            loss = sum_(ad.mul(w, w))
         tape.backward(loss)
         opt.step()
         opt.zero_grad()
@@ -217,8 +217,8 @@ def test_rebalance_floors_a_task_with_zero_gradient():
     w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
     weights = TaskWeights(np.linspace(0.5, 1.5, 7))
     with Tape() as tape:
-        losses = {t: ad.sum_(ad.mul(ad.mul(w, w), float(i + 1))) for i, t in enumerate(TASKS)}
-        losses["br"] = ad.sum_(ad.mul(w, 0.0))
+        losses = {t: sum_(ad.mul(ad.mul(w, w), float(i + 1))) for i, t in enumerate(TASKS)}
+        losses["br"] = sum_(ad.mul(w, 0.0))
         new, norms = _assert_rebalance_matches_total_backward(tape, losses, weights, [w])
     assert norms[TASKS.index("br")] == 0.0
     assert new.alphas[TASKS.index("br")] > 1e9 * new.alphas[0]
@@ -347,7 +347,8 @@ def test_evaluate_iou_equals_iou_of_concatenated_masks(batch_size):
         cls = seg_argmax(model.forward(batch).seg_logits.data)
         pred.append(np.eye(NUM_CLASSES, dtype=bool)[cls].transpose(3, 0, 1, 2))
         gt.append(batch["seg_gt"].transpose(1, 0, 2, 3))
-    _, want = iou(np.concatenate(pred, axis=1), np.concatenate(gt, axis=1))
+    _, want = iou_from_counts(iou_counts(np.concatenate(pred, axis=1),
+                                         np.concatenate(gt, axis=1)))
     _, metrics = evaluate(model, samples, batch_size=batch_size)
     assert metrics["ss_metric"] == want
 
