@@ -48,6 +48,12 @@ stores the first contribution as is. No stored gradient is ever written
 in place: a later contribution rebinds `t.grad` to a new array. An array
 read from `t.grad` therefore keeps its values after a further backward
 pass, and callers must not write into it either.
+
+Gradient oracle: `grad_check` and `grad_check_params` compare analytic
+gradients with central differences. Their analytic pass differentiates
+only the checked tensors: the tape is cut down to the records through
+which one of them reaches the output, and the gradients are bit-identical
+to a full pass. The oracle leaves every `.grad` as it found it.
 """
 
 from __future__ import annotations
@@ -709,38 +715,79 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # ---------------------------------------------------------------------------
 # gradient oracle
 
+def _analytic_grads(f: Callable[[], Tensor], checked: Sequence[Tensor], who: str) -> list:
+    """Gradients of the scalar f() with respect to the checked tensors only.
+
+    f() is recorded, and its tape is cut down to the records through which a
+    checked tensor reaches the output: a record stays when one of its inputs
+    is a checked tensor or a kept record's output, and every other input
+    slot becomes None, so no other gradient is computed. Each live slot gets
+    its contributions in the same order as in a full backward pass, so the
+    gradients are bit-identical to it. A checked tensor that does not reach
+    the output gets zeros. Every .grad is left as it was.
+    """
+    saved = {id(t): (t, t.grad) for t in checked}
+    for t in checked:
+        t.grad = None
+    try:
+        with Tape() as tape:
+            y = f()
+            if y.size != 1:
+                raise ContractError(f"{who} needs a scalar-valued function")
+            # cut before the tape closes, so it closes holding what backward walks
+            live = set(saved)
+            kept = []
+            for rec in tape._records:
+                ins = tuple(s if s is not None and id(s) in live else None for s in rec.inputs)
+                if any(s is not None for s in ins):
+                    live.add(id(rec.out))
+                    rec.inputs = ins
+                    kept.append(rec)
+            tape._records = kept
+        tape.backward(y)
+        # no stored gradient is ever written in place, so no copy is needed
+        return [np.zeros_like(t.data) if t.grad is None else t.grad for t in checked]
+    finally:
+        for t, g in saved.values():
+            t.grad = g
+
+
+def _max_rel_err(f: Callable[[], Tensor], flat: np.ndarray, analytic: np.ndarray,
+                 indices: Iterable[int], h: float) -> float:
+    """Max over flat indices of |analytic - central difference| / max(1, |analytic|).
+
+    flat is a flat view of the checked tensor's data; each entry is moved
+    by +h and -h for one evaluation of f() each, then restored.
+    """
+    worst = 0.0
+    for i in indices:
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f().item()
+        flat[i] = orig - h
+        fm = f().item()
+        flat[i] = orig
+        numeric = (fp - fm) / (2.0 * h)
+        a = analytic[i]
+        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
+    return worst
+
+
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
                coords: Optional[Iterable[tuple]] = None) -> float:
     """Max over coordinates of |analytic − central difference| / max(1, |analytic|).
 
     f must be scalar-valued; the check runs at float64 regardless of x's
     width. coords limits the checked coordinates (default: all of them).
+    Only x is differentiated: tensors that f reads besides x, such as
+    module parameters, get no gradient, and every .grad is left as it was.
     """
     xx = Tensor(x.data.astype(np.float64), requires_grad=True)
-    with Tape() as tape:
-        y = f(xx)
-        if y.size != 1:
-            raise ContractError("grad_check needs a scalar-valued function")
-        tape.backward(y)
-    # no stored gradient is ever written in place, so no copy is needed
-    analytic = np.zeros_like(xx.data) if xx.grad is None else xx.grad
-    xx.grad = None
-
-    if coords is None:
-        coords = list(np.ndindex(*xx.shape)) if xx.ndim else [()]
-    worst = 0.0
-    flat = xx.data
-    for idx in coords:
-        orig = flat[idx]
-        flat[idx] = orig + h
-        fp = f(xx).item()
-        flat[idx] = orig - h
-        fm = f(xx).item()
-        flat[idx] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        a = analytic[idx]
-        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-    return worst
+    fx = lambda: f(xx)
+    (analytic,) = _analytic_grads(fx, [xx], "grad_check")
+    indices = (range(xx.size) if coords is None
+               else [np.ravel_multi_index(c, xx.shape) for c in coords])
+    return _max_rel_err(fx, xx.data.reshape(-1), analytic.reshape(-1), indices, h)
 
 
 def grad_check_params(f: Callable[[], Tensor], params: Sequence[tuple],
@@ -750,38 +797,19 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[tuple],
 
     params is a sequence of (name, Tensor); all must be float64. For each
     tensor up to coords_per_tensor random coordinates are checked with the
-    same per-coordinate formula as grad_check. Returns {name: max rel err}.
+    same per-coordinate formula as grad_check. Only the listed tensors are
+    differentiated, and every .grad is left as it was. Returns
+    {name: max rel err}.
     """
     rng = rng or np.random.default_rng(0)
     for _, p in params:
         if p.dtype != np.float64:
             raise ContractError("grad_check_params requires float64 parameters")
-        p.grad = None
-    with Tape() as tape:
-        y = f()
-        if y.size != 1:
-            raise ContractError("grad_check_params needs a scalar-valued function")
-        tape.backward(y)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
-                for name, p in params}
+    analytic = _analytic_grads(f, [p for _, p in params], "grad_check_params")
 
     errs = {}
-    for name, p in params:
+    for (name, p), a in zip(params, analytic):
         flat = p.data.reshape(-1)
-        aflat = analytic[name].reshape(-1)
-        k = min(coords_per_tensor, flat.size)
-        picks = rng.choice(flat.size, size=k, replace=False)
-        worst = 0.0
-        for i in picks:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f().item()
-            flat[i] = orig - h
-            fm = f().item()
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            a = aflat[i]
-            worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-        errs[name] = worst
-        p.grad = None
+        picks = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
+        errs[name] = _max_rel_err(f, flat, a.reshape(-1), picks, h)
     return errs

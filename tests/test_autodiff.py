@@ -677,6 +677,42 @@ def test_grad_check_params_reports_per_tensor(rng):
     assert max(errs.values()) < 1e-6
 
 
+def test_grad_check_params_leaves_every_grad_as_it_found_it(rng):
+    w = _t(rng.standard_normal((3, 2)))
+    b = _t(rng.standard_normal(2))
+    c = _t(rng.standard_normal(2))
+    x = _t(rng.standard_normal((4, 3)), False)
+    earlier_w = np.ones((3, 2))
+    earlier_b = np.zeros(2)
+    w.grad, b.grad = earlier_w, earlier_b
+
+    def f():
+        return sum_(ad.mul(ad.add(matmul(x, w), b), c))
+
+    errs = grad_check_params(f, [("w", w)], rng=np.random.default_rng(3))
+    assert errs["w"] < 1e-6
+    # the checked tensor gets its earlier gradient back; unchecked leaves get
+    # none at all: no array where there was none, no new one where there was
+    assert w.grad is earlier_w
+    assert b.grad is earlier_b
+    assert c.grad is None
+
+
+def test_grad_check_coords_pick_the_same_entries_as_the_full_sweep(rng):
+    x0 = rng.standard_normal((3, 4))
+
+    def f(t):
+        return sum_(ad.mul(ad.tanh(t), ad.tanh(t)))
+
+    coords = [(0, 1), (2, 3), (1, 0)]
+    picked = grad_check(f, _t(x0), coords=coords)
+    each = [grad_check(f, _t(x0), coords=[c]) for c in coords]
+    assert picked == max(each) <= grad_check(f, _t(x0)) < 1e-8
+    # a 0-d tensor has one coordinate, the empty tuple
+    assert grad_check(lambda t: ad.mul(t, t), _t(0.7)) == grad_check(
+        lambda t: ad.mul(t, t), _t(0.7), coords=[()]) < 1e-8
+
+
 def test_grad_check_params_requires_float64():
     w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError):

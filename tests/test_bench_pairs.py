@@ -92,3 +92,19 @@ def test_beyond_bound_needs_the_median_past_the_bound_in_the_better_direction():
     # a metric with no bound (a per-layer one) gets no verdict
     got = bp.summarize(_runs(parent, [200.0] * 10), better, bounds)
     assert "beyond_bound" not in got["throughput_per_s"]
+
+
+def test_worse_beyond_bound_needs_the_median_past_the_bound_in_the_worse_direction():
+    bp = _tool()
+    better = {"peak_rss_mb": "lower", "throughput_per_s": "higher"}
+    bounds = {"peak_rss_mb": 0.1, "throughput_per_s": 0.25}
+    parent = [100.0] * 10
+    for name, change, worse in (("peak_rss_mb", 111.0, True), ("peak_rss_mb", 109.0, False),
+                                ("peak_rss_mb", 80.0, False), ("throughput_per_s", 74.0, True),
+                                ("throughput_per_s", 76.0, False),
+                                ("throughput_per_s", 130.0, False)):
+        got = bp.summarize(_runs(parent, [change] * 10, name), better, bounds)[name]
+        assert got["worse_beyond_bound"] is worse
+        assert not (got["worse_beyond_bound"] and got["beyond_bound"])
+    got = bp.summarize(_runs(parent, [300.0] * 10), better, {"peak_rss_mb": 0.1})
+    assert "worse_beyond_bound" not in got["throughput_per_s"]

@@ -166,3 +166,59 @@ def test_top_down_grid_blocks_segmentation_gradient_from_control_losses():
     for name, p in model.named_parameters():
         if name.startswith(("enc_a.", "fuse_a.", "decoder.")):
             assert p.grad is None or not np.any(p.grad != 0), name
+
+
+def _f64_pipeline():
+    from skgedrive.training import TASKS, TaskWeights, compute_task_losses, total_loss
+
+    batch = make_batch([synth_scene(3)])
+    model = build_model(RunConfig(), np.random.default_rng(7)).astype(np.float64)
+
+    def f():
+        out = model.forward(batch)
+        losses = compute_task_losses(out, batch)
+        return total_loss([losses[t] for t in TASKS], TaskWeights())
+
+    return model, f
+
+
+def test_oracle_gradients_equal_a_full_backward_bit_for_bit():
+    from skgedrive import autodiff as ad
+
+    model, f = _f64_pipeline()
+    named = dict(model.named_parameters())
+    with ad.Tape() as tape:
+        loss = f()
+    tape.backward(loss)
+    full = {n: p.grad for n, p in named.items()}
+    for p in named.values():
+        p.grad = None
+    # encoder A reaches only the segmentation loss, the controller only the
+    # control losses: the cut tape differs most from the full one here
+    tail = [n for n in named if n.startswith(("enc_b.", "controller."))][-19:]
+    mixed = ([n for n in named if n.startswith("enc_a.")][::8]
+             + [n for n in named if n.startswith("controller.")][::2])
+    for chunk in (tail, mixed):
+        grads = ad._analytic_grads(f, [named[n] for n in chunk], "test")
+        for n, g in zip(chunk, grads):
+            assert np.array_equal(g, full[n]), n
+        assert all(p.grad is None for p in named.values())
+
+
+def test_oracle_gives_a_tensor_off_the_loss_path_a_zero_gradient():
+    from skgedrive import autodiff as ad
+
+    model, f = _f64_pipeline()
+    stray = ad.Tensor(np.full((2, 3), 0.5), requires_grad=True)
+
+    def f_and_a_dead_end():
+        ad.mul(stray, stray)  # recorded, but never reaches the loss
+        return f()
+
+    weight = model.controller.ctrl.weight
+    errs = ad.grad_check_params(f_and_a_dead_end, [("stray", stray), ("ctrl", weight)],
+                                rng=np.random.default_rng(11))
+    assert errs["stray"] == 0.0
+    assert errs["ctrl"] < 1e-4
+    (g,) = ad._analytic_grads(f_and_a_dead_end, [stray], "test")
+    assert np.array_equal(g, np.zeros((2, 3)))

@@ -18,9 +18,10 @@ number of pairs the change won (by the metric's direction in
 BENCHMARK.json; ties count for neither side), and whether the gain rule
 holds: at least ten pairs, the change wins at least nine in ten, and the
 medians differ by more than the parent's interquartile range. An
-end-to-end metric also gets `beyond_bound`: whether the change's median
-is better than the parent's by more than the metric's bound in
-BENCHMARK.json, taken as a fraction of the parent's median.
+end-to-end metric also gets `beyond_bound` and `worse_beyond_bound`:
+whether the change's median is better, or worse, than the parent's by
+more than the metric's bound in BENCHMARK.json, taken as a fraction of
+the parent's median.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def run_side(tree: Path, args, seconds) -> dict:
 def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's values and quartiles, the pairs the change
     won, gain_shown and, for a metric in bounds (name -> relative bound),
-    beyond_bound."""
+    beyond_bound and worse_beyond_bound."""
     names = sorted(set(runs["parent"][0]["metrics"]) & set(runs["change"][0]["metrics"]))
     out = {}
     for name in names:
@@ -87,7 +88,9 @@ def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
         entry["gain_shown"] = (pairs >= MIN_PAIRS and wins >= 0.9 * pairs
                                and gap > entry["parent"]["q3"] - entry["parent"]["q1"])
         if bounds and name in bounds:
-            entry["beyond_bound"] = gap > bounds[name] * abs(entry["parent"]["median"])
+            margin = bounds[name] * abs(entry["parent"]["median"])
+            entry["beyond_bound"] = gap > margin
+            entry["worse_beyond_bound"] = -gap > margin
         out[name] = entry
     return out
 
