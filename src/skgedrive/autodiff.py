@@ -68,6 +68,7 @@ from .errors import ContractError, DataError, NumericError, ShapeError
 DEFAULT_DTYPE = np.float32
 _SQRT_2_OVER_PI = 0.7978845608028654
 _GELU_CUBIC = 0.044715
+_LN_EPS = 1e-5
 
 
 class Tensor:
@@ -80,11 +81,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_slot")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
@@ -114,12 +113,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -452,17 +445,15 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
     if axis is None:
         n = a.size
     else:
         n = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[ax] for ax in axis]))
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    out_data = a.data.mean(axis=axis)
 
     def backward(g, sa):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         _accum(sa, (np.broadcast_to(gg, sa.shape) / n).astype(sa.dtype, copy=False))
 
     return _apply(out_data, (a,), backward, "mean")
@@ -675,8 +666,9 @@ def window_attention(qkv: Tensor, table: Tensor, rel_index: np.ndarray,
     return _apply(out_data, (qkv, table), backward, "window_attention"), attn
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last dim to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last dim to zero mean / unit variance (variance + 1e-5
+    under the root), then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},), "
@@ -687,7 +679,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     x2 = x.data.reshape(-1, d)
     xh = x2 - _row_sum(x2) / d  # centred until divided by s
     sq = xh * xh
-    s = np.sqrt(_row_sum(sq) / d + eps)
+    s = np.sqrt(_row_sum(sq) / d + _LN_EPS)
     xh /= s
     gamma_data = gamma.data
     out_data = np.multiply(xh, gamma_data, out=sq)

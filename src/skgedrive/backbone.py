@@ -25,6 +25,9 @@ from .errors import ConfigError, ContractError
 # stage index -> feature map of shape (B, H_s, W_s, C_s)
 StageFeatures = Dict[int, Tensor]
 
+# MLP hidden width over block width; Swin uses 4 in every variant
+_MLP_RATIO = 4.0
+
 
 @dataclass
 class BackboneConfig:
@@ -34,7 +37,6 @@ class BackboneConfig:
     embed_dim: int = 24
     depths: tuple = (1, 1, 2, 1)
     heads: tuple = (2, 4, 8, 16)
-    mlp_ratio: float = 4.0
 
     def __post_init__(self):
         self.depths = tuple(int(d) for d in self.depths)
@@ -103,11 +105,9 @@ class WindowAttention(nn.Module):
     def __init__(self, dim: int, heads: int, window: int, rng: np.random.Generator):
         if dim % heads:
             raise ConfigError(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
         self.heads = heads
         self.window = window
-        self.head_dim = dim // heads
-        self.scale = self.head_dim ** -0.5
+        self.scale = (dim // heads) ** -0.5
         self.qkv = nn.Linear(dim, 3 * dim, rng)
         self.proj = nn.Linear(dim, dim, rng)
         self.rel_bias = Tensor(nn.trunc_normal(rng, ((2 * window - 1) ** 2, heads)),
@@ -186,7 +186,6 @@ class PatchMerging(nn.Module):
     """2x2 neighbor concat (4C) -> layer norm -> linear down to 2C."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
-        self.dim = dim
         self.norm = nn.LayerNorm(4 * dim)
         self.reduction = nn.Linear(4 * dim, 2 * dim, rng, bias=False)
 
@@ -240,9 +239,7 @@ class SwinEncoder(nn.Module):
     """
 
     def __init__(self, config: BackboneConfig, in_channels: int,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
-        self.config = config
+                 rng: np.random.Generator):
         self.patch_embed = PatchEmbed(config, in_channels, rng)
         self.stages = []
         self.merges = []
@@ -250,7 +247,7 @@ class SwinEncoder(nn.Module):
             dim = config.stage_channels(s + 1)
             blocks = [SwinBlock(dim, config.heads[s], config.window_size,
                                 0 if i % 2 == 0 else config.window_size // 2,
-                                config.mlp_ratio, rng)
+                                _MLP_RATIO, rng)
                       for i in range(config.depths[s])]
             self.stages.append(blocks)
             if s < 3:

@@ -3,8 +3,9 @@
 Subcommands: gen (synthesize a dataset), train (fit and checkpoint),
 eval (task-metric report from a checkpoint), score (drive-log metrics),
 bench (throughput and peak memory). Exit codes: 0 success, 2 bad
-config/usage, 3 numeric failure, 4 corrupt data. The SKGE_SEED
-environment variable overrides --seed wherever one is accepted.
+config/usage (a bad config value or a non-integer SKGE_SEED included),
+3 numeric failure, 4 corrupt data. The SKGE_SEED environment variable
+overrides --seed wherever one is accepted.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ from .model import build_model, make_batch
 from .training import REPORT_FIELDS, evaluate, fit, peak_rss_mb
 
 
-def _seed(args) -> int:
+def _seed(flag: int | None) -> int | None:
+    """SKGE_SEED when it is set, else flag, the --seed value."""
     env = os.environ.get("SKGE_SEED")
-    return int(env) if env is not None else int(args.seed)
+    if env is None:
+        return flag
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"SKGE_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_gen(args) -> int:
@@ -35,7 +42,7 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     if args.size < 16:
         raise ConfigError(f"--size must be >= 16, got {args.size}")
-    seed = _seed(args)
+    seed = _seed(args.seed)
     scene = SceneConfig(size=args.size, with_lidar=args.with_lidar)
     samples = [synth_scene(seed + i, scene) for i in range(args.count)]
     save_dataset(args.out, samples, [seed + i for i in range(args.count)])
@@ -50,9 +57,9 @@ def _train_config(args) -> RunConfig:
     if args.skge_route is not None:
         cfg.set("skge.route_a", args.skge_route)
         cfg.set("skge.route_b", args.skge_route)
-    if args.seed is not None or os.environ.get("SKGE_SEED") is not None:
-        env = os.environ.get("SKGE_SEED")
-        cfg.set("train.seed", int(env) if env is not None else int(args.seed))
+    seed = _seed(args.seed)
+    if seed is not None:
+        cfg.set("train.seed", seed)
     return cfg
 
 
@@ -125,8 +132,7 @@ def cmd_bench(args) -> int:
     if args.iters < 1:
         raise ConfigError(f"--iters must be >= 1, got {args.iters}")
     model, cfg = _load_model_from_ckpt(args.ckpt)
-    sample = synth_scene(_seed(args),
-                         SceneConfig(size=int(cfg["backbone.input_size"])))
+    sample = synth_scene(_seed(args.seed), SceneConfig(size=cfg["backbone.input_size"]))
     batch = make_batch([sample])
     for _ in range(10):
         model.forward(batch)

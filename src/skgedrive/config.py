@@ -1,7 +1,8 @@
 """Flat key=value run configuration.
 
 All tunables live in one namespace-dotted key space with typed defaults;
-unknown keys are rejected by name so config-file typos fail loudly. A
+unknown keys are rejected by name so config-file typos fail loudly, and
+a value that does not parse as its key's type is rejected when set. A
 config file holds one `key = value` pair per line, with # comments; the
 same text, written by dumps(), is stored in every training checkpoint.
 """
@@ -47,19 +48,22 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         default = DEFAULTS[key]
         try:
-            if isinstance(default, bool):
-                self._values[key] = bool(int(value))
-            elif isinstance(default, int):
-                self._values[key] = int(value)
+            if isinstance(default, int):
+                typed = int(value)
             elif isinstance(default, float):
-                self._values[key] = float(value)
+                typed = float(value)
             elif key.startswith("skge.route_"):
                 # canonical text, so "none" reads back as the "4" it builds
-                self._values[key] = str(parse_route(str(value)))
+                typed = str(parse_route(str(value)))
             else:
-                self._values[key] = str(value)
+                # backbone.depths / backbone.heads: one integer per stage
+                typed = ",".join(str(int(v)) for v in str(value).split(","))
         except (TypeError, ValueError):
             raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
+        if key == "bev.use_lidar" and typed not in (0, 1):
+            raise ConfigError(f"bad value {value!r} for config key {key!r}: "
+                              f"expected 0 or 1")
+        self._values[key] = typed
 
     def __getitem__(self, key: str):
         if key not in self._values:

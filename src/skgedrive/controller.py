@@ -73,8 +73,6 @@ class Controller(nn.Module):
     def __init__(self, feature_dim: int, hidden: int = 64,
                  rng: Optional[np.random.Generator] = None):
         rng = rng or np.random.default_rng(0)
-        self.feature_dim = feature_dim
-        self.hidden = hidden
         self.h0_proj = nn.Linear(feature_dim, hidden, rng)
         self.gru = nn.GRUCell(self.INPUT_SIZE, hidden, rng)
         self.delta = nn.Linear(hidden, 2, rng)

@@ -73,7 +73,6 @@ def encode_depth(meters: np.ndarray) -> np.ndarray:
 @dataclass
 class SceneConfig:
     size: int = 64
-    empty: bool = False
     with_lidar: bool = False
 
 
@@ -147,36 +146,35 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> Sample:
     depth = np.full((n, n), 900.0)
     depth[horizon:] = _ground_depth(vv[horizon:], n)[:, None]
 
-    chosen: List[int] = []
-    if not config.empty:
-        cls[:horizon] = class_index("Sky")
-        cls[horizon:] = class_index("Terrain")
-        center = n // 2 + int(rng.integers(-3, 4))
-        for v in range(horizon, n):
-            t = (v - horizon) / max(1, n - horizon)
-            half = int(2 + t * 0.3 * n)
-            lo, hi = max(0, center - half), min(n, center + half)
-            cls[v, lo:hi] = class_index("Road")
-            walk = max(1, n // 32)
-            cls[v, max(0, lo - walk):lo] = class_index("Sidewalk")
-            cls[v, hi:min(n, hi + walk)] = class_index("Sidewalk")
-            if v % 2 == 0 and lo <= center < hi:
-                cls[v, center] = class_index("Road lane")
+    cls[:horizon] = class_index("Sky")
+    cls[horizon:] = class_index("Terrain")
+    center = n // 2 + int(rng.integers(-3, 4))
+    for v in range(horizon, n):
+        t = (v - horizon) / max(1, n - horizon)
+        half = int(2 + t * 0.3 * n)
+        lo, hi = max(0, center - half), min(n, center + half)
+        cls[v, lo:hi] = class_index("Road")
+        walk = max(1, n // 32)
+        cls[v, max(0, lo - walk):lo] = class_index("Sidewalk")
+        cls[v, hi:min(n, hi + walk)] = class_index("Sidewalk")
+        if v % 2 == 0 and lo <= center < hi:
+            cls[v, center] = class_index("Road lane")
 
-        palette = [class_index(nm) for nm in
-                   ("Building", "Fence", "Pedestrian", "Pole", "Vegetation",
-                    "Other vehicles", "Wall", "Traffic sign", "Traffic light",
-                    "Static Object")]
-        for _ in range(int(rng.integers(1, 5))):
-            c = int(rng.choice(palette))
-            chosen.append(c)
-            ow = int(rng.integers(3, max(4, n // 8)))
-            oh = int(rng.integers(3, max(4, n // 6)))
-            base_v = int(rng.integers(horizon + 2, n - 1))
-            u0 = int(rng.integers(0, n - ow))
-            cls[max(0, base_v - oh):base_v + 1, u0:u0 + ow] = c
-            depth[max(0, base_v - oh):base_v + 1, u0:u0 + ow] = _ground_depth(
-                np.array([float(base_v)]), n)[0]
+    palette = [class_index(nm) for nm in
+               ("Building", "Fence", "Pedestrian", "Pole", "Vegetation",
+                "Other vehicles", "Wall", "Traffic sign", "Traffic light",
+                "Static Object")]
+    chosen: List[int] = []
+    for _ in range(int(rng.integers(1, 5))):
+        c = int(rng.choice(palette))
+        chosen.append(c)
+        ow = int(rng.integers(3, max(4, n // 8)))
+        oh = int(rng.integers(3, max(4, n // 6)))
+        base_v = int(rng.integers(horizon + 2, n - 1))
+        u0 = int(rng.integers(0, n - ow))
+        cls[max(0, base_v - oh):base_v + 1, u0:u0 + ow] = c
+        depth[max(0, base_v - oh):base_v + 1, u0:u0 + ow] = _ground_depth(
+            np.array([float(base_v)]), n)[0]
 
     depth = np.clip(depth, 0.5, 999.0)
     depth_rgb = encode_depth(depth)
@@ -285,6 +283,14 @@ def save_dataset(directory, samples: List[Sample], seeds: List[int]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _manifest_int(text: str, path, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CorruptDataError(f"{path}: {text!r} is not an integer in manifest "
+                               f"line {line!r}") from None
+
+
 def read_manifest(directory) -> List[tuple]:
     """Returns [(index, filename, seed)] in manifest order."""
     path = os.path.join(directory, MANIFEST_NAME)
@@ -298,13 +304,14 @@ def read_manifest(directory) -> List[tuple]:
     if len(head) != 4 or head[0] != _MANIFEST_TAG or head[1] != "1" \
             or head[3] != f"classtable={_CLASSTABLE_VERSION}":
         raise CorruptDataError(f"{path}: bad manifest header {lines[0]!r}")
-    count = int(head[2])
+    count = _manifest_int(head[2], path, lines[0])
     entries = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise CorruptDataError(f"{path}: bad manifest line {ln!r}")
-        entries.append((int(parts[0]), parts[1], int(parts[2])))
+        entries.append((_manifest_int(parts[0], path, ln), parts[1],
+                        _manifest_int(parts[2], path, ln)))
     if len(entries) != count:
         raise CorruptDataError(f"{path}: header promises {count} records, "
                                f"manifest lists {len(entries)}")

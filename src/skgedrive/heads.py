@@ -21,6 +21,7 @@ from .errors import ConfigError, ContractError
 from .skge import bilinear_resize
 
 NUM_CLASSES = 23
+_DECODER_DIM = 24  # channels of every decoder level
 
 
 @dataclass
@@ -41,12 +42,6 @@ class BevConfig:
     resolution_m: float = 0.25  # meters per cell
 
 
-@dataclass
-class BevGrid:
-    """One-hot class occupancy per cell, ego at the bottom-center row."""
-    occupancy: np.ndarray              # (B, 23, Hb, Wb) in {0,1}
-
-
 def seg_argmax(logits: np.ndarray) -> np.ndarray:
     """(B, 23, H, W) logits -> (B, H, W) class ids; ties go to the lowest id."""
     return np.argmax(logits, axis=1)
@@ -55,21 +50,18 @@ def seg_argmax(logits: np.ndarray) -> np.ndarray:
 class SegDecoder(nn.Module):
     """Stage pyramid -> per-pixel 23-class logits at input resolution."""
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator,
-                 decoder_dim: int = 24):
-        self.config = config
-        self.dim = decoder_dim
-        self.laterals = [nn.Linear(config.stage_channels(s), decoder_dim, rng)
+    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
+        self.laterals = [nn.Linear(config.stage_channels(s), _DECODER_DIM, rng)
                          for s in range(1, 5)]
         # stage-1 grid is input/patch; two depth-to-space levels of 2x each
         # close the remaining gap for the desk patch size of 4
-        self.patch = config.patch_size
-        if self.patch not in (1, 2, 4):
-            raise ConfigError(f"decoder supports patch sizes 1/2/4, got {self.patch}")
-        n_up = {1: 0, 2: 1, 4: 2}[self.patch]
-        self.upsamplers = [nn.Linear(decoder_dim, 4 * decoder_dim, rng)
+        patch = config.patch_size
+        if patch not in (1, 2, 4):
+            raise ConfigError(f"decoder supports patch sizes 1/2/4, got {patch}")
+        n_up = {1: 0, 2: 1, 4: 2}[patch]
+        self.upsamplers = [nn.Linear(_DECODER_DIM, 4 * _DECODER_DIM, rng)
                            for _ in range(n_up)]
-        self.head = nn.Linear(decoder_dim, NUM_CLASSES, rng)
+        self.head = nn.Linear(_DECODER_DIM, NUM_CLASSES, rng)
 
     @staticmethod
     def _depth_to_space(x: Tensor) -> Tensor:
@@ -91,8 +83,9 @@ class SegDecoder(nn.Module):
 
 
 def build_sdc(cls_map: np.ndarray, depth_m: np.ndarray, cam: CameraConfig,
-              bev: BevConfig) -> BevGrid:
-    """Drop per-pixel classes onto a metric top-down grid.
+              bev: BevConfig) -> np.ndarray:
+    """(B, H, W) class ids and depths in meters -> (B, 23, Hb, Wb) one-hot
+    class occupancy per cell of a metric top-down grid.
 
     Each pixel's ray is back-projected with its depth; the hit cell keeps
     the highest class index seen (order-independent, so permuting pixels
@@ -101,9 +94,6 @@ def build_sdc(cls_map: np.ndarray, depth_m: np.ndarray, cam: CameraConfig,
     """
     if cam.focal <= 0:
         raise ConfigError(f"focal length must be positive, got {cam.focal}")
-    if cls_map.ndim == 2:
-        cls_map = cls_map[None]
-        depth_m = depth_m[None]
     if not (depth_m > 0).all():  # a NaN fails this too
         raise ContractError("depth must be positive meters")
     b, h, w = cls_map.shape
@@ -123,7 +113,7 @@ def build_sdc(cls_map: np.ndarray, depth_m: np.ndarray, cam: CameraConfig,
     occ = np.zeros((b, NUM_CLASSES, hb, wb), dtype=np.float32)
     bi, ri, ci = np.nonzero(winner >= 0)
     occ[bi, winner[bi, ri, ci], ri, ci] = 1.0
-    return BevGrid(occupancy=occ)
+    return occ
 
 
 def lidar_bev(points: np.ndarray, bev: BevConfig) -> np.ndarray:

@@ -12,7 +12,7 @@ while encoder B and the controller learn through the control losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -44,20 +44,16 @@ class ModelOutput:
 
 class DrivingModel(nn.Module):
     def __init__(self, backbone: BackboneConfig, route_a: SkipRoute,
-                 route_b: SkipRoute, bev: BevConfig,
-                 use_lidar: bool = False, hidden: int = 64,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
+                 route_b: SkipRoute, bev: BevConfig, use_lidar: bool,
+                 rng: np.random.Generator):
         if bev.size != backbone.input_size:
             raise ConfigError(f"bev size {bev.size} must match backbone input size "
                               f"{backbone.input_size}")
-        self.backbone_config = backbone
         self.route_a = route_a
         self.route_b = route_b
         self.bev = bev
         self.cam = CameraConfig.for_image(backbone.input_size, backbone.input_size)
         self.use_lidar = use_lidar
-        self.hidden = hidden
 
         self.enc_a = SwinEncoder(backbone, 3, rng)
         self.fuse_a = SkipFusion(route_a, backbone.stage_channels, rng)
@@ -65,8 +61,7 @@ class DrivingModel(nn.Module):
         in_b = NUM_CLASSES + (2 if use_lidar else 0)
         self.enc_b = SwinEncoder(backbone, in_b, rng)
         self.fuse_b = SkipFusion(route_b, backbone.stage_channels, rng)
-        self.controller = Controller(backbone.stage_channels(route_b.target),
-                                     hidden, rng)
+        self.controller = Controller(backbone.stage_channels(route_b.target), rng=rng)
 
     def _dtype(self):
         for _, p in self.named_parameters():
@@ -81,8 +76,7 @@ class DrivingModel(nn.Module):
         seg_logits = self.decoder(feats_a)
 
         cls = seg_argmax(seg_logits.data)
-        grid = build_sdc(cls, batch["depth_m"], self.cam, self.bev)
-        channels = [grid.occupancy]
+        channels = [build_sdc(cls, batch["depth_m"], self.cam, self.bev)]
         if self.use_lidar:
             channels.append(np.stack([lidar_bev(pts, self.bev) for pts in batch["lidar"]]))
         sdc = Tensor(np.concatenate(channels, axis=1).astype(dtype))
@@ -121,20 +115,17 @@ def make_batch(samples: List[Sample]) -> Dict[str, np.ndarray]:
     }
 
 
-def build_model(cfg, rng: Optional[np.random.Generator] = None) -> DrivingModel:
-    """Construct a DrivingModel from a flat RunConfig-style mapping."""
+def build_model(cfg, rng: np.random.Generator) -> DrivingModel:
+    """Construct a DrivingModel from a RunConfig."""
     backbone = BackboneConfig(
-        input_size=int(cfg["backbone.input_size"]),
-        patch_size=int(cfg["backbone.patch"]),
-        window_size=int(cfg["backbone.window"]),
-        embed_dim=int(cfg["backbone.embed_dim"]),
-        depths=tuple(int(x) for x in str(cfg["backbone.depths"]).split(",")),
-        heads=tuple(int(x) for x in str(cfg["backbone.heads"]).split(",")),
+        input_size=cfg["backbone.input_size"],
+        patch_size=cfg["backbone.patch"],
+        window_size=cfg["backbone.window"],
+        embed_dim=cfg["backbone.embed_dim"],
+        depths=tuple(int(x) for x in cfg["backbone.depths"].split(",")),
+        heads=tuple(int(x) for x in cfg["backbone.heads"].split(",")),
     )
-    bev = BevConfig(size=int(cfg["bev.size"]),
-                    resolution_m=float(cfg["bev.resolution_m"]))
-    return DrivingModel(backbone,
-                        parse_route(str(cfg["skge.route_a"])),
-                        parse_route(str(cfg["skge.route_b"])),
-                        bev, use_lidar=bool(int(cfg["bev.use_lidar"])),
-                        rng=rng)
+    bev = BevConfig(size=cfg["bev.size"], resolution_m=cfg["bev.resolution_m"])
+    return DrivingModel(backbone, parse_route(cfg["skge.route_a"]),
+                        parse_route(cfg["skge.route_b"]), bev,
+                        use_lidar=bool(cfg["bev.use_lidar"]), rng=rng)

@@ -8,7 +8,7 @@ checkpoint writer see one flat name->Tensor view of any model.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def astype(self, dtype) -> "Module":
         """Convert every parameter in place; returns self."""
         for _, p in self.named_parameters():
@@ -64,10 +60,7 @@ class Linear(Module):
     """Affine map on the last axis: y = x @ W + b."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: Optional[np.random.Generator] = None, bias: bool = True):
-        rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
+                 rng: np.random.Generator, bias: bool = True):
         self.weight = Tensor(
             xavier_uniform(rng, in_features, out_features, (in_features, out_features)),
             requires_grad=True)
@@ -79,14 +72,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
-        self.dim = dim
-        self.eps = eps
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class Mlp(Module):
@@ -104,10 +95,7 @@ class Mlp(Module):
 class GRUCell(Module):
     """Single gated recurrent step with reset/update/candidate gates."""
 
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(0)
-        self.input_size = input_size
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.hidden_size = hidden_size
         k = 1.0 / math.sqrt(hidden_size)
 

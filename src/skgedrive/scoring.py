@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,14 +48,12 @@ class DriveLog:
 
 def iou_counts(pred_mask: np.ndarray, gt_mask: np.ndarray) -> np.ndarray:
     """(2, C) integer intersection and union pixel counts per class of the
-    leading class axis; a 2-D mask is one class. Counts of several batches
-    add up to the counts of their concatenation."""
+    leading class axis. Counts of several batches add up to the counts of
+    their concatenation."""
     pred = np.asarray(pred_mask, dtype=bool)
     gt = np.asarray(gt_mask, dtype=bool)
     if pred.shape != gt.shape:
         raise ContractError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    if pred.ndim == 2:
-        pred, gt = pred[None], gt[None]
     axes = tuple(range(1, pred.ndim))
     return np.stack([np.logical_and(pred, gt).sum(axis=axes),
                      np.logical_or(pred, gt).sum(axis=axes)])
@@ -102,14 +100,13 @@ def route_completion(log: DriveLog) -> float:
     return min(100.0, dist / log.total_route_length * 100.0)
 
 
-def infraction_penalty(log: DriveLog, table: Optional[Dict[str, float]] = None) -> float:
+def infraction_penalty(log: DriveLog) -> float:
     """Product over infractions of the per-type penalty factor."""
-    table = PENALTIES if table is None else table
     penalty = 1.0
     for kind in log.infractions:
-        if kind not in table:
+        if kind not in PENALTIES:
             raise DataError(f"route {log.route_id}: unknown infraction {kind!r}")
-        penalty *= table[kind]
+        penalty *= PENALTIES[kind]
     return penalty
 
 
@@ -143,6 +140,13 @@ def write_drive_log(path, log: DriveLog) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _number(rec: dict, key: str, path, ln: int) -> float:
+    try:
+        return float(rec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise CorruptDataError(f"{path}:{ln}: {key} is not a number: {rec[key]!r}") from None
+
+
 def read_drive_log(path) -> DriveLog:
     route_id = None
     length = None
@@ -157,6 +161,8 @@ def read_drive_log(path) -> DriveLog:
                 rec = json.loads(raw)
             except json.JSONDecodeError as e:
                 raise CorruptDataError(f"{path}:{ln}: bad record: {e}") from None
+            if not isinstance(rec, dict):
+                raise CorruptDataError(f"{path}:{ln}: record is not a JSON object")
             for fld in ("route_id", "kind", "x", "y", "on_road", "infraction_type"):
                 if fld not in rec:
                     raise CorruptDataError(f"{path}:{ln}: missing field {fld!r}")
@@ -165,9 +171,10 @@ def read_drive_log(path) -> DriveLog:
             elif rec["route_id"] != route_id:
                 raise CorruptDataError(f"{path}:{ln}: mixed route ids in one file")
             if "route_length" in rec:
-                length = float(rec["route_length"])
+                length = _number(rec, "route_length", path, ln)
             if rec["kind"] == "step":
-                steps.append((float(rec["x"]), float(rec["y"]), bool(rec["on_road"])))
+                steps.append((_number(rec, "x", path, ln), _number(rec, "y", path, ln),
+                              bool(rec["on_road"])))
             elif rec["kind"] == "infraction":
                 infractions.append(rec["infraction_type"])
             else:

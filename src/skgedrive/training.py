@@ -81,6 +81,10 @@ def mgn_update(weights: TaskWeights, norms) -> TaskWeights:
     return TaskWeights(f * (7.0 / f.sum()))
 
 
+_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Adam with decoupled weight decay applied to every parameter.
 
@@ -90,26 +94,23 @@ class AdamW:
     """
 
     def __init__(self, params: List[Tensor], lr: float = 1e-4,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        b1, b2 = self.betas
+        b1, b2 = _BETAS
         self.t += 1
         # lr / bc1 * m / (sqrt(v / bc2) + eps) with sqrt(bc2) folded into the
         # scalars, which stay Python floats: an np.float64 scalar would
         # promote float32 arrays to float64
         root_bc2 = math.sqrt(1.0 - b2 ** self.t)
         step = self.lr * root_bc2 / (1.0 - b1 ** self.t)
-        eps = self.eps * root_bc2
+        eps = _ADAM_EPS * root_bc2
         decay = self.lr * self.weight_decay
         for p, m, v in zip(self.params, self._m, self._v):
             m *= b1
@@ -136,7 +137,6 @@ class TrainState:
     epoch: int = 0
     best_val: float = math.inf
     stagnant: int = 0
-    lr: float = 1e-4
     stopped_early: bool = False
 
 
@@ -273,13 +273,13 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
     """Train on samples per cfg; checkpoint the best-validation weights."""
     if not samples:
         raise ContractError("training needs a nonempty dataset")
-    rng = np.random.default_rng(int(cfg["train.seed"]))
+    rng = np.random.default_rng(cfg["train.seed"])
     model = build_model(cfg, rng)
     if resume is not None:
         checkpoint.load_model(resume, model)
-    batch_size = int(cfg["train.batch_size"])
-    patience_lr = int(cfg["train.patience_lr"])
-    patience_stop = int(cfg["train.patience_stop"])
+    batch_size = cfg["train.batch_size"]
+    patience_lr = cfg["train.patience_lr"]
+    patience_stop = cfg["train.patience_stop"]
 
     n = len(samples)
     order = rng.permutation(n)
@@ -288,9 +288,9 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
     train_set = [samples[i] for i in order[n_val:]] or val_set
 
     weights = TaskWeights()
-    opt = AdamW(model.parameters(), lr=float(cfg["train.lr"]),
-                weight_decay=float(cfg["train.weight_decay"]))
-    state = TrainState(lr=opt.lr)
+    opt = AdamW(model.parameters(), lr=cfg["train.lr"],
+                weight_decay=cfg["train.weight_decay"])
+    state = TrainState()
 
     # one flushed ndjson line per epoch, so a killed run keeps the epochs it
     # finished; a resumed run appends after the lines of the run it resumes
@@ -354,7 +354,6 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                 state.stagnant += 1
                 if state.stagnant % patience_lr == 0:
                     opt.lr /= 2.0
-                    state.lr = opt.lr
 
             wall = time.perf_counter() - t0
             emit({"epoch": epoch, "lr": opt.lr, "train_loss": train_total,

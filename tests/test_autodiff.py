@@ -213,7 +213,7 @@ def test_two_passes_on_one_tape_give_bit_identical_leaf_gradients(rng, dtype):
     tape.backward(first)
     grads = [t.grad for t in leaves]
     for t in leaves:
-        t.zero_grad()
+        t.grad = None
     tape.backward(first)
     for t, g in zip(leaves, grads):
         assert np.array_equal(t.grad, g)

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +163,15 @@ def test_failed_first_write_leaves_nothing(tmp_path):
     with pytest.raises(RuntimeError):
         write_records(tmp_path / "new.ckpt", {"a": np.ones(2), "b": _FailingArray()})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_default_model_parameters_are_pinned():
+    """Names and shapes decide whether a checkpoint loads; the checksum of
+    the float32 initial values pins every random draw of the constructors."""
+    pinned = json.loads((Path(__file__).parent / "default_model_params.json").read_text())
+    params = list(build_model(RunConfig(), np.random.default_rng(0)).named_parameters())
+    assert [[name, list(p.shape)] for name, p in params] == pinned["parameters"]
+    digest = hashlib.sha256()
+    for _, p in params:
+        digest.update(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    assert digest.hexdigest() == pinned["sha256"]

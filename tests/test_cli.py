@@ -119,6 +119,60 @@ def test_train_rejects_bad_route(tmp_path, capsys):
     assert "config error" in stderr
 
 
+@pytest.mark.parametrize("line", ["backbone.depths = 1,x,2,1", "bev.use_lidar = 2"])
+def test_train_rejects_bad_config_value(tmp_path, capsys, line):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code, _, stderr = _run(capsys, "train", "--data", str(data), "--config", str(config),
+                           "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+    assert code == 2
+    assert "config error" in stderr and "bad value" in stderr
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch, command):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    monkeypatch.setenv("SKGE_SEED", "abc")
+    argv = {"gen": ["--out", str(tmp_path / "d2"), "--count", "1"],
+            "train": ["--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                      "--epochs", "1"]}[command]
+    code, _, stderr = _run(capsys, command, *argv)
+    assert code == 2
+    assert "SKGE_SEED" in stderr
+
+
+@pytest.mark.parametrize("header, entry", [("x", "0 000000.rec 0"),
+                                           ("1", "x 000000.rec 0"),
+                                           ("1", "0 000000.rec x")])
+def test_train_on_manifest_with_bad_integer_exits_4(tmp_path, capsys, header, entry):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    (data / "manifest.txt").write_text(f"skge-dataset 1 {header} classtable=1\n{entry}\n")
+    code, _, stderr = _run(capsys, "train", "--data", str(data),
+                           "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+    assert code == 4
+    assert "manifest.txt" in stderr and "'x'" in stderr
+
+
+@pytest.mark.parametrize("line", [
+    '{"route_id": "a", "kind": "step", "x": "abc", "y": 0, "on_road": true, '
+    '"infraction_type": "", "route_length": 10}',
+    '{"route_id": "a", "kind": "step", "x": 0, "y": 0, "on_road": true, '
+    '"infraction_type": "", "route_length": null}',
+    "5",
+])
+def test_score_log_with_bad_record_exits_4(tmp_path, capsys, line):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "bad.ndjson").write_text(line + "\n")
+    code, _, stderr = _run(capsys, "score", "--logs", str(logs))
+    assert code == 4
+    assert "bad.ndjson:1:" in stderr
+
+
 def test_score_command(tmp_path, capsys):
     logs = tmp_path / "logs"
     logs.mkdir()

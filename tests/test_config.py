@@ -54,6 +54,20 @@ def test_route_keys_are_stored_canonically():
     assert cfg["skge.route_b"] == "1,2,3->4"
 
 
+def test_stage_lists_are_stored_as_integer_text():
+    cfg = RunConfig()
+    cfg.set("backbone.depths", " 2, 2,2 ,2")
+    assert cfg["backbone.depths"] == "2,2,2,2"
+
+
+@pytest.mark.parametrize("key, bad", [("backbone.depths", "1,x,2,1"),
+                                      ("backbone.heads", "2,4,,16"),
+                                      ("bev.use_lidar", 2), ("bev.use_lidar", "-1")])
+def test_bad_value_fails_when_set(key, bad):
+    with pytest.raises(ConfigError, match="bad value"):
+        RunConfig().set(key, bad)
+
+
 @pytest.mark.parametrize("bad", ["4->4", "5", "1->"])
 def test_bad_route_fails_when_set(bad):
     with pytest.raises(ConfigError, match="skip route|route target"):

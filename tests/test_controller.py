@@ -52,7 +52,7 @@ def _zeroed(ctrl):
 
 
 def _run(ctrl, rng, b=2, dtype=np.float64):
-    pooled = Tensor(rng.standard_normal((b, ctrl.feature_dim)).astype(dtype))
+    pooled = Tensor(rng.standard_normal((b, ctrl.h0_proj.weight.shape[0])).astype(dtype))
     route = Tensor(rng.standard_normal((b, 2)).astype(dtype))
     speed = Tensor(rng.uniform(0, 10, (b, 1)).astype(dtype))
     return ctrl(pooled, route, speed), (pooled, route, speed)

@@ -57,11 +57,11 @@ def test_sdc_matches_loop_reference(rng):
     bev = BevConfig(size=24, resolution_m=0.5)
     cls_map = rng.integers(0, NUM_CLASSES, size=(h, w))
     depth = rng.uniform(0.5, 12.0, size=(h, w))
-    grid = build_sdc(cls_map, depth, cam, bev)
-    assert grid.occupancy.shape == (1, NUM_CLASSES, 24, 24)
+    occ = build_sdc(cls_map[None], depth[None], cam, bev)
+    assert occ.shape == (1, NUM_CLASSES, 24, 24)
     want = sdc_reference(cls_map, depth, cam.focal, cam.cx, cam.cy, 24, 0.5)
     got_winner = np.full((24, 24), -1, dtype=int)
-    cls_idx, ri, ci = np.nonzero(grid.occupancy[0])
+    cls_idx, ri, ci = np.nonzero(occ[0])
     got_winner[ri, ci] = cls_idx
     np.testing.assert_array_equal(got_winner, want)
 
@@ -72,7 +72,7 @@ def test_sdc_same_cell_contest_highest_class_wins():
     bev = BevConfig(size=8, resolution_m=1.0)
     depth = np.full((1, 2), 3.0)
     for pair in ([3, 9], [9, 3]):
-        occ = build_sdc(np.array([pair]), depth, cam, bev).occupancy[0]
+        occ = build_sdc(np.array([[pair]]), depth[None], cam, bev)[0]
         winners = np.nonzero(occ.sum(axis=(1, 2)))[0]
         assert list(winners) == [9]
 
@@ -81,9 +81,9 @@ def test_sdc_ego_row_geometry():
     """A pixel at depth z lands rint(z/res) rows above the bottom row."""
     cam = CameraConfig(focal=8.0, cx=2.0, cy=2.0)
     bev = BevConfig(size=8, resolution_m=1.0)
-    cls_map = np.full((4, 4), 7)
-    depth = np.full((4, 4), 3.0)
-    occ = build_sdc(cls_map, depth, cam, bev).occupancy[0]
+    cls_map = np.full((1, 4, 4), 7)
+    depth = np.full((1, 4, 4), 3.0)
+    occ = build_sdc(cls_map, depth, cam, bev)[0]
     rows = np.nonzero(occ.sum(axis=(0, 2)))[0]
     assert list(rows) == [8 - 1 - 3]
 
@@ -93,22 +93,22 @@ def test_sdc_batched_matches_stacked(rng):
     bev = BevConfig(size=12, resolution_m=0.5)
     cls_map = rng.integers(0, NUM_CLASSES, size=(3, 8, 8))
     depth = rng.uniform(0.5, 5.0, size=(3, 8, 8))
-    full = build_sdc(cls_map, depth, cam, bev).occupancy
+    full = build_sdc(cls_map, depth, cam, bev)
     for i in range(3):
-        one = build_sdc(cls_map[i], depth[i], cam, bev).occupancy[0]
+        one = build_sdc(cls_map[i:i + 1], depth[i:i + 1], cam, bev)[0]
         np.testing.assert_array_equal(full[i], one)
 
 
 def test_sdc_validation():
     cam = CameraConfig(focal=0.0, cx=1.0, cy=1.0)
+    cls_map = np.zeros((1, 2, 2), dtype=int)
     with pytest.raises(ConfigError):
-        build_sdc(np.zeros((2, 2), dtype=int), np.ones((2, 2)), cam, BevConfig())
+        build_sdc(cls_map, np.ones((1, 2, 2)), cam, BevConfig())
     cam = CameraConfig.for_image(2, 2)
     with pytest.raises(ContractError):
-        build_sdc(np.zeros((2, 2), dtype=int), np.zeros((2, 2)), cam, BevConfig())
+        build_sdc(cls_map, np.zeros((1, 2, 2)), cam, BevConfig())
     with pytest.raises(ContractError):
-        build_sdc(np.zeros((2, 2), dtype=int), np.array([[1.0, np.nan], [1.0, 1.0]]),
-                  cam, BevConfig())
+        build_sdc(cls_map, np.array([[[1.0, np.nan], [1.0, 1.0]]]), cam, BevConfig())
 
 
 def test_lidar_bev_bins_by_height():

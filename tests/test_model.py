@@ -25,7 +25,7 @@ def test_output_shapes():
     assert out.waypoints.shape == (3, 3, 2)
     for head in (out.steering, out.throttle, out.brake, out.tl_prob, out.ss_prob):
         assert head.shape == (3, 1)
-    assert out.latent.shape == (3, model.hidden)
+    assert out.latent.shape == (3, model.controller.h0_proj.weight.shape[1])
 
 
 def test_control_ranges():
@@ -65,9 +65,9 @@ def test_lidar_channels_change_encoder_b_input():
     cfg = RunConfig()
     cfg.set("bev.use_lidar", 1)
     model, batch, out = _forward(cfg, use_lidar=True)
-    patch = model.backbone_config.patch_size
+    patch = cfg["backbone.patch"]
     expected_in = (NUM_CLASSES + 2) * patch * patch
-    assert model.enc_b.patch_embed.proj.in_features == expected_in
+    assert model.enc_b.patch_embed.proj.weight.shape[0] == expected_in
     assert "lidar" in batch
     assert np.all(np.isfinite(out.waypoints.data))
 

@@ -4,6 +4,7 @@ import pytest
 from skgedrive import autodiff as ad, nn
 from skgedrive.autodiff import Tape, Tensor
 from skgedrive.errors import ShapeError
+from skgedrive.training import AdamW
 
 from oracles import gelu_reference, gru_reference, layer_norm_reference, sum_
 
@@ -64,7 +65,7 @@ def test_layer_norm_module_matches_reference(rng):
 
 def test_mlp_is_fc2_gelu_fc1(rng):
     mlp = _f64(nn.Mlp(4, 2.0, rng))
-    assert mlp.fc1.out_features == 8
+    assert mlp.fc1.weight.shape == (4, 8)
     x = rng.standard_normal((3, 4))
     hidden = gelu_reference(x @ mlp.fc1.weight.numpy() + mlp.fc1.bias.numpy())
     want = hidden @ mlp.fc2.weight.numpy() + mlp.fc2.bias.numpy()
@@ -114,8 +115,8 @@ def test_zero_grad_clears(rng):
     with Tape() as tape:
         tape.backward(sum_(lin(Tensor(np.ones((1, 2))))))
     assert lin.weight.grad is not None
-    lin.zero_grad()
-    assert lin.weight.grad is None
+    AdamW(lin.parameters()).zero_grad()
+    assert lin.weight.grad is None and lin.bias.grad is None
 
 
 def test_astype_converts_in_place(rng):

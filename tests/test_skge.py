@@ -113,7 +113,7 @@ def test_bilinear_contract_errors(rng):
 def test_fusion_has_one_adapter_per_source(rng):
     channels = {1: 24, 2: 48, 3: 96, 4: 192}
     fu = SkipFusion(parse_route("1,2,3->4"), channels.__getitem__, rng)
-    assert [(a.in_features, a.out_features) for a in fu.adapters] == \
+    assert [a.weight.shape for a in fu.adapters] == \
         [(24, 192), (48, 192), (96, 192)]
     assert all(a.bias is None for a in fu.adapters)
     assert SkipFusion(parse_route("3"), channels.__getitem__, rng).adapters == []

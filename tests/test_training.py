@@ -446,7 +446,7 @@ def test_fit_writes_checkpoint_metrics_and_improves(tmp_path):
     assert ckpt.exists()
     saved = RunConfig().loads(config_text(read_records(ckpt), ckpt))
     assert saved["backbone.input_size"] == 64
-    meta = load_model(ckpt, build_model(saved))
+    meta = load_model(ckpt, build_model(saved, np.random.default_rng(0)))
     assert meta["epoch"] >= 1.0
     records = [json.loads(line) for line in open(metrics)]
     assert len(records) == 3
