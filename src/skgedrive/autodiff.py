@@ -23,7 +23,8 @@ pairwise reductions at the ulp level; the softmax row max is an exact
 pairwise `np.maximum`. Ops write in place only into arrays they allocated
 themselves; `gelu` and `sigmoid` keep the order of operations of the
 plain expressions, so their values are bit-identical to them.
-`gelu` computes its local derivative only while recording.
+`gelu` computes its local derivative only while recording, in factored
+form from the x^2 of its cube.
 
 Tape contents: a record holds its output's gradient slot (a small
 object with `.grad`, kept apart from the output Tensor), the slots of its
@@ -33,7 +34,11 @@ forward drops an intermediate Tensor, its data lives on only if some
 backward reads it, such as the output of `sigmoid` or the input of
 `linear`. A value that every consumer's backward reads only through its
 shape (the residual stream into `add` and `layer_norm`, an fc1 output
-into `gelu`) dies in the forward pass.
+into `gelu`) dies in the forward pass. `bce_dice` keeps its input (in the
+pipeline the output that `sigmoid` keeps anyway) and the labels, one byte
+each, and recomputes the clamp and q in its backward. A record lives as
+long as its tape: the training loop drops the tape and the losses once
+the backward passes are done, before the optimizer step.
 
 Gradient lifetime: Tape.backward releases a record's output gradient
 just before calling its backward closure. The walk runs in reverse
@@ -364,37 +369,39 @@ def sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """tanh-form gaussian error linear unit (smooth, FD-friendly).
 
-    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))). While recording for an
-    input that needs a gradient, the local derivative
-    0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2) is
-    computed here and kept in place of t, so each backward pass is one
-    multiply.
+    0.5 x (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3). While
+    recording for an input that needs a gradient, the local derivative
+    0.5 (1 + t) (1 + x (1 - t) du), with t = tanh(u) and
+    du = sqrt(2/pi) (1 + 3 * 0.044715 x^2), is computed here from the x^2
+    of the cube, so each backward pass is one multiply.
     """
     x = a.data
+    recording = active_tape() is not None and _needs(a)
     # x * x * x, not x ** 3: numpy's power has no fast path for a cube
-    t = x * x
-    t *= x
+    sq = x * x
+    t = sq * x if recording else np.multiply(sq, x, out=sq)
     t *= _GELU_CUBIC
     t += x
     t *= _SQRT_2_OVER_PI
     np.tanh(t, out=t)
-    out_data = 0.5 * x
     local = None
-    if active_tape() is not None and _needs(a):
-        local = x * (3.0 * _GELU_CUBIC)
-        local *= x
-        local += 1.0
-        local *= _SQRT_2_OVER_PI
-        curve = t * t
-        np.subtract(1.0, curve, out=curve)
-        curve *= out_data
-        curve *= local
-        t += 1.0
-        np.multiply(t, 0.5, out=local)
-        local += curve
+    if recording:
+        # du / 2 in place of x^2, then local = (0.5 + x (1 - t) du / 2) (1 + t);
+        # the buffer of x (1 - t) then takes the output
+        local = sq
+        local *= 1.5 * _GELU_CUBIC * _SQRT_2_OVER_PI
+        local += 0.5 * _SQRT_2_OVER_PI
+        out_data = np.subtract(1.0, t)
+        out_data *= x
+        local *= out_data
+        local += 0.5
+        out_data = np.multiply(x, 0.5, out=out_data)
     else:
-        t += 1.0
+        out_data = 0.5 * x
+    t += 1.0
     out_data *= t
+    if recording:
+        local *= t
 
     def backward(g, sa):
         _accum(sa, g * local)
@@ -408,32 +415,39 @@ def bce_dice(p: Tensor, gt: Tensor) -> Tensor:
     p is clamped to pc in [1e-7, 1 - 1e-7] first; gt must be 0/1 and needs no
     gradient. The loss is -mean(gt log pc + (1 - gt) log(1 - pc))
     + 1 - 2 sum(pc gt) / (sum(pc) + sum(gt) + 1e-6), and only p gets a
-    gradient, zero where the clamp changed it.
+    gradient, zero where the clamp changed it. The record keeps p's data
+    (in the pipeline, the array `sigmoid` keeps anyway) and the labels as
+    one byte each; its backward recomputes the clamp and q.
     """
     _check_dtypes(p, gt, "bce_dice")
     if p.shape != gt.shape:
         raise ShapeError(f"bce_dice: prediction {p.shape} vs ground truth {gt.shape}")
     if _needs(gt):
         raise ContractError("bce_dice: the ground truth must not need a gradient")
-    y = gt.data
-    if not ((y == 0) | (y == 1)).all():
+    x, y = p.data, gt.data
+    pos = y == 1
+    if not (pos | (y == 0)).all():
         raise DataError("segmentation ground truth must be binary")
-    pc = np.clip(p.data, 1e-7, 1.0 - 1e-7)
-    inside = pc == p.data
-    # pc on positives, 1 - pc on negatives, bit for bit: adding 0 is exact,
-    # and pc - 1 rounds to exactly -(1 - pc)
-    q = pc + (y - 1.0)
-    np.abs(q, out=q)
     n = p.size
-    bce = -np.log(q).mean()
+    pc = np.clip(x, 1e-7, 1.0 - 1e-7)
     inter = (pc * y).sum()
     den = pc.sum() + y.sum() + 1e-6
+    # q in place of pc: pc on positives, 1 - pc on negatives, bit for bit
+    # the |pc + (y - 1)| of the plain expression, since pc - 1 rounds to
+    # exactly -(1 - pc)
+    q = np.subtract(1.0, pc, out=pc, where=~pos)
+    bce = -np.log(q, out=q).mean()
     out_data = np.asarray(bce + (1.0 - inter * 2.0 / den), dtype=p.dtype)
 
     def backward(g, sp):
         # d/dpc: (1 - 2gt) / (n q) from the BCE, -2gt/D + 2I/D^2 from Dice
-        gp = (1.0 - 2.0 * y) / (n * q)
-        gp += y * (-2.0 / den)
+        gp = np.clip(x, 1e-7, 1.0 - 1e-7)
+        inside = gp == x
+        np.subtract(1.0, gp, out=gp, where=~pos)
+        gp *= n
+        np.divide(1.0, gp, out=gp)
+        np.negative(gp, out=gp, where=pos)
+        np.add(gp, -2.0 / den, out=gp, where=pos)
         gp += 2.0 * inter / (den * den)
         gp *= inside
         gp *= g

@@ -15,6 +15,7 @@ config's text (RunConfig.dumps), one element per UTF-8 byte. Bytes are
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from typing import Dict
@@ -88,12 +89,18 @@ def read_records(path) -> Dict[str, np.ndarray]:
         chunk, off = _take(buf, off, 4, path, "name length")
         name_len = struct.unpack("<I", chunk)[0]
         chunk, off = _take(buf, off, name_len, path, "name")
-        name = bytes(chunk).decode("utf-8")
+        try:
+            name = bytes(chunk).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptDataError(f"{path}: record name at byte {off - name_len} "
+                                   f"is not UTF-8") from None
         chunk, off = _take(buf, off, 4, path, "rank")
         rank = struct.unpack("<I", chunk)[0]
         chunk, off = _take(buf, off, 4 * rank, path, f"extents of {name}")
         shape = struct.unpack(f"<{rank}I", chunk) if rank else ()
-        count = int(np.prod(shape)) if rank else 1
+        # exact: np.prod wraps around in int64, and a wrapped count could
+        # pass the size check below
+        count = math.prod(shape)
         chunk, off = _take(buf, off, 4 * count, path, f"payload of {name}")
         out[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
     return out

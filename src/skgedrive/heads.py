@@ -2,10 +2,18 @@
 
 The decoder walks the encoder pyramid deep-to-shallow, upsampling 2x per
 level and adding a projected skip from the matching stage, then refines
-up to full input resolution and emits 23-class logits. The BEV builders
-are plain numpy (no gradients flow through them): build_sdc back-projects
-per-pixel classes with metric depth onto a top-down occupancy grid, and
-lidar_bev histograms raw points into above/below-ground bins.
+up to full input resolution and emits 23-class logits. Each refinement is
+a linear to 4x the channels and a depth-to-space (pixel shuffle). No
+nonlinearity sits between the last one and the 23-class head, so the two
+run as one fused linear whose 4 x 23 outputs per pixel are shuffled into
+the full-resolution logits; the full-resolution 24-channel map is never
+formed.
+Parameters and checkpoints keep the separate upsampler and head.
+
+The BEV builders are plain numpy (no gradients flow through them):
+build_sdc back-projects per-pixel classes with metric depth onto a
+top-down occupancy grid, and lidar_bev histograms raw points into
+above/below-ground bins.
 """
 
 from __future__ import annotations
@@ -71,14 +79,36 @@ class SegDecoder(nn.Module):
         x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
         return ad.reshape(x, (b, 2 * h, 2 * w, c))
 
+    def _fused_head(self) -> tuple:
+        """Weight and bias of head(depth_to_space(up(x))) as one linear.
+
+        A depth-to-space commutes with the per-pixel head, so the last
+        upsampler and the head are one linear from 24 to 4 x 23 channels,
+        followed by a depth-to-space: its weight is up.weight viewed as
+        (96, 24) times head.weight, viewed as (24, 92), and its bias is
+        up.bias viewed as (4, 24) times head.weight plus head.bias.
+        """
+        up, head = self.upsamplers[-1], self.head
+        c, k = _DECODER_DIM, NUM_CLASSES
+        w = ad.reshape(ad.linear(ad.reshape(up.weight, (4 * c, c)), head.weight), (c, 4 * k))
+        bias = ad.reshape(ad.linear(ad.reshape(up.bias, (4, c)), head.weight, head.bias),
+                          (4 * k,))
+        return w, bias
+
     def forward(self, feats: StageFeatures) -> Tensor:
         x = self.laterals[3](feats[4])
         for s in (3, 2, 1):
             skip = self.laterals[s - 1](feats[s])
             x = ad.add(bilinear_resize(x, skip.shape[1], skip.shape[2]), skip)
-        for up in self.upsamplers:
-            x = self._depth_to_space(up(ad.gelu(x)))
-        logits = self.head(x)  # (B, H, W, 23)
+        if not self.upsamplers:
+            logits = self.head(x)
+        else:
+            for up in self.upsamplers[:-1]:
+                x = self._depth_to_space(up(ad.gelu(x)))
+            logits = self._depth_to_space(ad.linear(ad.gelu(x), *self._fused_head()))
+        # (B, H, W, 23) -> (B, 23, H, W) as a view: a copy that moved the
+        # classes outward within the shuffle would run 2-element inner loops
+        # and cost more at B=1 than the fold saves
         return ad.transpose(logits, (0, 3, 1, 2))
 
 

@@ -152,9 +152,12 @@ def read_drive_log(path) -> DriveLog:
     length = None
     steps: List[Tuple[float, float, bool]] = []
     infractions: List[str] = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for ln, raw in enumerate(fh, 1):
-            raw = raw.strip()
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise CorruptDataError(f"{path}:{ln}: not UTF-8 text") from None
             if not raw:
                 continue
             try:
@@ -176,6 +179,9 @@ def read_drive_log(path) -> DriveLog:
                 steps.append((_number(rec, "x", path, ln), _number(rec, "y", path, ln),
                               bool(rec["on_road"])))
             elif rec["kind"] == "infraction":
+                if not isinstance(rec["infraction_type"], str):
+                    raise CorruptDataError(f"{path}:{ln}: infraction_type is not a "
+                                           f"string: {rec['infraction_type']!r}")
                 infractions.append(rec["infraction_type"])
             else:
                 raise CorruptDataError(f"{path}:{ln}: unknown kind {rec['kind']!r}")

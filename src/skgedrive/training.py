@@ -331,13 +331,14 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                         weights, norms = rebalance(tape, losses, weights, opt.params)
                     else:
                         tape.backward(total_loss([losses[t] for t in TASKS], weights))
-                opt.step()
-                opt.zero_grad()
                 task_sums += np.array([losses[t].item() for t in TASKS]) * len(chunk)
                 seen += len(chunk)
-                # the tape pins the step's activations; release them before
-                # the next batch, validation or the checkpoint write
+                # the tape pins the step's activations; AdamW reads only the
+                # leaf gradients, so release them before its moments and
+                # temporaries are allocated
                 del tape, losses
+                opt.step()
+                opt.zero_grad()
 
             task_means = task_sums / seen
             train_total = float(np.dot(task_means, weights.alphas))

@@ -108,3 +108,17 @@ def test_worse_beyond_bound_needs_the_median_past_the_bound_in_the_worse_directi
         assert not (got["worse_beyond_bound"] and got["beyond_bound"])
     got = bp.summarize(_runs(parent, [300.0] * 10), better, {"peak_rss_mb": 0.1})
     assert "worse_beyond_bound" not in got["throughput_per_s"]
+
+
+def test_failed_share_worse_compares_failed_over_attempted_summed_per_side():
+    bp = _tool()
+    attempted = {"parent": [100, 100], "change": [50, 50]}
+    # 2 of 200 against 1 of 100: the same share is not worse
+    assert not bp.failed_share_worse({"parent": [2, 0], "change": [0, 1]}, attempted)
+    assert bp.failed_share_worse({"parent": [2, 0], "change": [1, 1]}, attempted)
+    assert not bp.failed_share_worse({"parent": [2, 0], "change": [0, 0]}, attempted)
+    # a side with nothing attempted has a share of 0
+    assert bp.failed_share_worse({"parent": [], "change": [1]},
+                                 {"parent": [], "change": [1]})
+    assert not bp.failed_share_worse({"parent": [0], "change": [0]},
+                                     {"parent": [0], "change": [0]})

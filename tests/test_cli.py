@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from skgedrive.checkpoint import save_model
+from skgedrive.checkpoint import MAGIC, VERSION, save_model, write_records
 from skgedrive.cli import REPORT_FIELDS, _load_model_from_ckpt, evaluate_dataset, main
 from skgedrive.config import RunConfig
 from skgedrive.data import load_dataset, synth_scene
@@ -225,3 +226,54 @@ def test_evaluate_dataset_report_is_json_ready():
     assert 0.0 <= report["ss_metric"] <= 1.0
     assert 0.0 <= report["redl_metric"] <= 1.0
     assert report["test_metric"] > 0.0
+
+def _eval_ckpt_bytes(tmp_path, capsys, payload: bytes):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(payload)
+    return _run(capsys, "eval", "--data", str(data), "--ckpt", str(ckpt))
+
+
+def test_eval_checkpoint_with_non_utf8_record_name_exits_4(tmp_path, capsys):
+    good = tmp_path / "good.ckpt"
+    write_records(good, {"ab": np.zeros(2)})
+    code, _, stderr = _eval_ckpt_bytes(tmp_path, capsys,
+                                       good.read_bytes().replace(b"ab", b"\xff\xfe"))
+    assert code == 4
+    assert "bad.ckpt" in stderr and "not UTF-8" in stderr
+
+
+def test_eval_checkpoint_whose_extents_overflow_int64_exits_4(tmp_path, capsys):
+    # 2**16 four times is 2**64 elements, which int64 arithmetic wraps to 0
+    header = MAGIC + struct.pack("<I", VERSION)
+    record = struct.pack("<I", 1) + b"w" + struct.pack("<5I", 4, *[2 ** 16] * 4)
+    code, _, stderr = _eval_ckpt_bytes(tmp_path, capsys, header + record)
+    assert code == 4
+    assert "bad.ckpt" in stderr and "payload of w" in stderr
+
+
+def test_train_on_non_utf8_manifest_exits_4(tmp_path, capsys):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    (data / "manifest.txt").write_bytes(b"skge-dataset 1 1 classtable=1\n0 000000.rec \xff\n")
+    code, _, stderr = _run(capsys, "train", "--data", str(data),
+                           "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+    assert code == 4
+    assert "manifest.txt" in stderr and "not UTF-8" in stderr
+
+
+@pytest.mark.parametrize("line, message", [
+    (b'{"route_id": "a", "kind": "step", "x": 0, "y": 0, "on_road": true, '
+     b'"infraction_type": "\xff", "route_length": 10}', "not UTF-8"),
+    (b'{"route_id": "a", "kind": "infraction", "x": 0, "y": 0, "on_road": false, '
+     b'"infraction_type": ["ped"], "route_length": 10}', "infraction_type"),
+])
+def test_score_log_with_undecodable_or_unhashable_field_exits_4(tmp_path, capsys, line,
+                                                                message):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "bad.ndjson").write_bytes(line + b"\n")
+    code, _, stderr = _run(capsys, "score", "--logs", str(logs))
+    assert code == 4
+    assert "bad.ndjson:1:" in stderr and message in stderr

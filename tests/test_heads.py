@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from skgedrive.autodiff import Tensor
+from skgedrive import autodiff as ad
+from skgedrive.autodiff import Tape, Tensor
 from skgedrive.backbone import BackboneConfig
 from skgedrive.errors import ConfigError, ContractError
 from skgedrive.heads import (NUM_CLASSES, BevConfig, CameraConfig, SegDecoder,
                              build_sdc, lidar_bev, seg_argmax)
 
-from oracles import sdc_reference
+from skgedrive.skge import bilinear_resize
+
+from oracles import sdc_reference, sum_
 
 
 def test_camera_defaults_from_image_size():
@@ -42,6 +45,53 @@ def test_decoder_patch_two(rng):
                          depths=(1, 1, 1, 1), heads=(2, 2, 4, 4))
     out = SegDecoder(cfg, rng)(_feats(cfg, rng))
     assert out.shape == (2, NUM_CLASSES, 32, 32)
+
+
+def _unfolded_decoder(dec, feats):
+    """The decoder as a chain of its layers: every upsampler, then its
+    depth-to-space, then the head and a transpose to (B, 23, H, W)."""
+    x = dec.laterals[3](feats[4])
+    for s in (3, 2, 1):
+        skip = dec.laterals[s - 1](feats[s])
+        x = ad.add(bilinear_resize(x, skip.shape[1], skip.shape[2]), skip)
+    for up in dec.upsamplers:
+        y = up(ad.gelu(x))
+        b, h, w, c4 = y.shape
+        y = ad.transpose(ad.reshape(y, (b, h, w, 2, 2, c4 // 4)), (0, 1, 3, 2, 4, 5))
+        x = ad.reshape(y, (b, 2 * h, 2 * w, c4 // 4))
+    return ad.transpose(dec.head(x), (0, 3, 1, 2))
+
+
+def _decoder_and_grads(forward, dec, feats, g):
+    params = dec.parameters()
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        out = forward(feats)
+        tape.backward(sum_(ad.mul(out, Tensor(g))))
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return out.numpy(), grads
+
+
+@pytest.mark.parametrize("patch", [4, 2, 1])
+def test_decoder_equals_its_unfolded_layer_chain(rng, patch):
+    # the last upsampler and the head run as one fused linear; values and
+    # parameter gradients match the layer-by-layer chain
+    cfg = BackboneConfig(input_size=32, patch_size=patch, embed_dim=8,
+                         depths=(1, 1, 1, 1), heads=(2, 2, 4, 4))
+    dec = SegDecoder(cfg, rng).astype(np.float64)
+    feats = {s: Tensor(f.numpy().astype(np.float64)) for s, f in _feats(cfg, rng).items()}
+    g = rng.standard_normal((2, NUM_CLASSES, 32, 32))
+    got, got_grads = _decoder_and_grads(dec, dec, feats, g)
+    want, want_grads = _decoder_and_grads(lambda f: _unfolded_decoder(dec, f), dec, feats, g)
+    assert got.shape == want.shape == (2, NUM_CLASSES, 32, 32)
+    if patch == 1:  # no upsampler: the same head path
+        assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for a, b in zip(got_grads, want_grads):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 def test_decoder_rejects_unsupported_patch(rng):

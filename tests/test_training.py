@@ -5,12 +5,14 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import skgedrive
 from skgedrive import autodiff as ad
+from skgedrive import training
 from skgedrive.autodiff import Tape, Tensor
 from skgedrive.checkpoint import config_text, load_model, read_records
 from skgedrive.config import RunConfig
@@ -487,6 +489,46 @@ def test_fit_resume_appends_to_the_metrics_file(tmp_path):
     after = open(metrics).read().splitlines()
     assert after[:2] == before
     assert len(after) > 2
+
+
+def test_fit_frees_the_step_tape_before_the_optimizer_step(tmp_path, monkeypatch):
+    # AdamW reads only the leaf gradients: by the time it runs, the step's
+    # tape, its losses and every backward closure (with the arrays it keeps)
+    # are gone
+    watched = []
+
+    class WatchedTape(Tape):
+        def __exit__(self, *exc):
+            watched.append(weakref.ref(self))
+            watched.extend(weakref.ref(rec.backward) for rec in self.records)
+            return super().__exit__(*exc)
+
+    compute = training.compute_task_losses
+
+    def watched_losses(out, batch):
+        losses = compute(out, batch)
+        watched.extend(weakref.ref(t.data) for t in losses.values())
+        return losses
+
+    step = training.AdamW.step
+    steps = []
+
+    def checked_step(opt):
+        alive = sum(ref() is not None for ref in watched)
+        steps.append((len(watched), alive))
+        watched.clear()
+        step(opt)
+
+    monkeypatch.setattr(training, "Tape", WatchedTape)
+    monkeypatch.setattr(training, "compute_task_losses", watched_losses)
+    monkeypatch.setattr(training.AdamW, "step", checked_step)
+    cfg = RunConfig()
+    cfg.set("train.batch_size", 2)
+    # 4 training samples: a rebalancing batch, then a total-loss batch
+    fit([synth_scene(i) for i in range(5)], cfg, tmp_path / "model.ckpt", epochs=1)
+    assert len(steps) == 2
+    for watched_count, alive in steps:
+        assert watched_count > 100 and alive == 0, steps
 
 
 def test_fit_empty_dataset():

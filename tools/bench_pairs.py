@@ -3,11 +3,11 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload train_b8 --seed 0 \
         --pairs 10 --tag kernels
 
-Checks the parent revision out into a temporary git worktree, then runs
-`perfbench/run.py` for one workload and seed in N pairs: once in the
-worktree and once in this checkout (with its uncommitted changes),
-alternating which side runs first. Each side runs its own copy of the
-benchmark, for BENCHMARK.json's run_seconds. The worktree is removed
+Extracts the parent revision's files (`git archive`) into a temporary
+directory, then runs `perfbench/run.py` for one workload and seed in N
+pairs: once in that copy and once in this checkout (with its uncommitted
+changes), alternating which side runs first. Each side runs its own copy
+of the benchmark, for BENCHMARK.json's run_seconds. The copy is removed
 afterwards.
 
 The results go into BENCH_<tag>.json at the root of this checkout, under
@@ -21,16 +21,20 @@ medians differ by more than the parent's interquartile range. An
 end-to-end metric also gets `beyond_bound` and `worse_beyond_bound`:
 whether the change's median is better, or worse, than the parent's by
 more than the metric's bound in BENCHMARK.json, taken as a fraction of
-the parent's median.
+the parent's median. `failed_share_worse` says whether the change's
+share of failed operations (failed over attempted, summed over its runs)
+is above the parent's.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -95,6 +99,15 @@ def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     return out
 
 
+def failed_share_worse(failed: dict, attempted: dict) -> bool:
+    """Whether the change failed a larger share of its attempted operations
+    than the parent; each side maps to one count per run."""
+    def share(side):
+        total = sum(attempted[side])
+        return sum(failed[side]) / total if total else 0.0
+    return share("change") > share("parent")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -116,33 +129,33 @@ def main(argv=None) -> int:
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tree = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = run_side(tree if side == "parent" else ROOT, args, seconds)
-                    runs[side].append(result)
-                    value = result["metrics"].get("throughput_per_s", {}).get("value")
-                    print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
-                          f"failed={result['failed']}/{result['attempted']}"
-                          + ("" if value is None else f" throughput_per_s={value:.4g}"),
-                          flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
-                           cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_side(tree if side == "parent" else ROOT, args, seconds)
+                runs[side].append(result)
+                value = result["metrics"].get("throughput_per_s", {}).get("value")
+                print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
+                      f"failed={result['failed']}/{result['attempted']}"
+                      + ("" if value is None else f" throughput_per_s={value:.4g}"),
+                      flush=True)
 
     if not all(r["metrics"] for side in runs.values() for r in side):
         print("a run printed no metrics; nothing written", file=sys.stderr)
         return 1
+    failed = {side: [r["failed"] for r in rs] for side, rs in runs.items()}
+    attempted = {side: [r["attempted"] for r in rs] for side, rs in runs.items()}
     entry = {
         "parent": rev, "pairs": args.pairs, "seconds": seconds,
         "environment": runs["change"][0]["environment"],
         "correct": {side: sum(r["correct"] for r in rs) for side, rs in runs.items()},
-        "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
-        "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+        "failed": failed,
+        "attempted": attempted,
+        "failed_share_worse": failed_share_worse(failed, attempted),
         "metrics": summarize(runs, better, bounds),
     }
     path = ROOT / f"BENCH_{args.tag}.json"
