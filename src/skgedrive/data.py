@@ -296,13 +296,11 @@ def read_manifest(directory) -> List[tuple]:
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise CorruptDataError(f"{path}: manifest missing")
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CorruptDataError(f"{path}: byte {e.start} is not UTF-8") from None
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise CorruptDataError(f"{path}: not UTF-8 text") from None
     if not lines:
         raise CorruptDataError(f"{path}: empty manifest")
     head = lines[0].split()

@@ -152,12 +152,13 @@ def read_drive_log(path) -> DriveLog:
     length = None
     steps: List[Tuple[float, float, bool]] = []
     infractions: List[str] = []
-    with open(path, "rb") as fh:
-        for ln, raw in enumerate(fh, 1):
-            try:
-                raw = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise CorruptDataError(f"{path}:{ln}: not UTF-8 text") from None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise CorruptDataError(f"{path}: not UTF-8 text") from None
+        for ln, raw in enumerate(lines, 1):
+            raw = raw.strip()
             if not raw:
                 continue
             try:

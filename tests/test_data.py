@@ -165,6 +165,12 @@ def test_manifest_lists_indices_and_seeds(dataset_dir):
     assert [e[2] for e in entries] == list(range(8))
 
 
+def test_manifest_with_cr_line_endings_reads_the_same(dataset_dir, tmp_path):
+    text = (dataset_dir / MANIFEST_NAME).read_bytes()
+    (tmp_path / MANIFEST_NAME).write_bytes(text.replace(b"\n", b"\r"))
+    assert read_manifest(tmp_path) == read_manifest(dataset_dir)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(CorruptDataError):
         load_dataset(tmp_path)

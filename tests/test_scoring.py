@@ -145,6 +145,10 @@ def test_drive_log_roundtrip(tmp_path):
     assert back.total_route_length == 42.5
     assert back.steps == log.steps
     assert back.infractions == log.infractions
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_drive_log(path) == back
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r"))
+    assert read_drive_log(path) == back
 
 
 def test_first_line_carries_route_length(tmp_path):

@@ -3,11 +3,11 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload train_b8 --seed 0 \
         --pairs 10 --tag kernels
 
-Extracts the parent revision's files (`git archive`) into a temporary
-directory, then runs `perfbench/run.py` for one workload and seed in N
-pairs: once in that copy and once in this checkout (with its uncommitted
-changes), alternating which side runs first. Each side runs its own copy
-of the benchmark, for BENCHMARK.json's run_seconds. The copy is removed
+Checks the parent revision out into a temporary git worktree, then runs
+`perfbench/run.py` for one workload and seed in N pairs: once in the
+worktree and once in this checkout (with its uncommitted changes),
+alternating which side runs first. Each side runs its own copy of the
+benchmark, for BENCHMARK.json's run_seconds. The worktree is removed
 afterwards.
 
 The results go into BENCH_<tag>.json at the root of this checkout, under
@@ -29,12 +29,10 @@ is above the parent's.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -129,20 +127,23 @@ def main(argv=None) -> int:
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tree = Path(tmp) / "parent"
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree, filter="data")
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_side(tree if side == "parent" else ROOT, args, seconds)
-                runs[side].append(result)
-                value = result["metrics"].get("throughput_per_s", {}).get("value")
-                print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
-                      f"failed={result['failed']}/{result['attempted']}"
-                      + ("" if value is None else f" throughput_per_s={value:.4g}"),
-                      flush=True)
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_side(tree if side == "parent" else ROOT, args, seconds)
+                    runs[side].append(result)
+                    value = result["metrics"].get("throughput_per_s", {}).get("value")
+                    print(f"pair {i + 1}/{args.pairs} {side}: correct={result['correct']} "
+                          f"failed={result['failed']}/{result['attempted']}"
+                          + ("" if value is None else f" throughput_per_s={value:.4g}"),
+                          flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
+                           cwd=ROOT, capture_output=True)
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
     if not all(r["metrics"] for side in runs.values() for r in side):
         print("a run printed no metrics; nothing written", file=sys.stderr)
