@@ -3,8 +3,9 @@
 Layout: magic b"SKGE" + format version 1 (4-byte little-endian), then one
 record per tensor: name length (u32 LE), UTF-8 name, rank (u32 LE), one
 u32 LE extent per axis, then the float32 LE payload, row-major. Records
-run until end of file; anything short of a whole record is corruption.
-The same container stores model checkpoints and dataset samples.
+run until end of file; anything short of a whole record, and a name
+written twice, is corruption. The same container stores model
+checkpoints and dataset samples.
 
 A checkpoint holds one record per parameter, scalar metadata under meta/
 names, and, when written by training, a rank-1 `config` record: the run
@@ -94,6 +95,8 @@ def read_records(path) -> Dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise CorruptDataError(f"{path}: record name at byte {off - name_len} "
                                    f"is not UTF-8") from None
+        if name in out:
+            raise CorruptDataError(f"{path}: record {name!r} appears twice")
         chunk, off = _take(buf, off, 4, path, "rank")
         rank = struct.unpack("<I", chunk)[0]
         chunk, off = _take(buf, off, 4 * rank, path, f"extents of {name}")

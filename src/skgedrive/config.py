@@ -38,10 +38,8 @@ DEFAULTS: Dict[str, object] = {
 class RunConfig:
     """Typed flat config; item access by full dotted key."""
 
-    def __init__(self, overrides: Dict[str, object] | None = None):
+    def __init__(self):
         self._values = dict(DEFAULTS)
-        for key, value in (overrides or {}).items():
-            self.set(key, value)
 
     def set(self, key: str, value) -> None:
         if key not in DEFAULTS:

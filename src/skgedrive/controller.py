@@ -5,8 +5,9 @@ iterations each consume the current waypoint, the local route point, and
 speed; the new hidden state is biased (element-wise add) by encodings of
 the traffic-light and stop-sign probabilities before a linear layer
 predicts a waypoint delta, while the recurrence itself carries the
-UN-biased state forward. Controls come from the final biased state via
-sigmoids mapped onto steering [-1,1], throttle [0,0.75], brake [0,1].
+UN-biased state forward; the GRU is the standard cell (Cho et al., arXiv
+1406.1078). Controls come from the final biased state via sigmoids
+mapped onto steering [-1,1], throttle [0,0.75], brake [0,1].
 
 Coordinate convention: a compass heading of theta_v degrees converts a
 global offset into the ego-local frame through the transposed rotation
@@ -97,8 +98,8 @@ class Controller(nn.Module):
             h = self.gru(inp, h)            # recurrence stays bias-free
             biased = ad.add(h, bias)
             wp = ad.add(wp, self.delta(biased))
-            steps.append(ad.reshape(wp, (b, 1, 2)))
-        waypoints = ad.concat(steps, axis=1)
+            steps.append(wp)
+        waypoints = ad.reshape(ad.concat(steps, axis=1), (b, self.N_STEPS, 2))
 
         s = ad.sigmoid(self.ctrl(biased))
         steering = ad.sub(ad.mul(ad.slice_(s, (slice(None), slice(0, 1))), 2.0), 1.0)

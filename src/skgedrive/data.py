@@ -253,23 +253,35 @@ def _sample_to_arrays(s: Sample) -> dict:
     return arrays
 
 
+# the extents each sample record must have (None is any); no axis may be empty
+_RECORD_SHAPES = {
+    "rgb": (3, None, None), "depth_rgb": (3, None, None), "seg_gt": (NUM_CLASSES, None, None),
+    "speed": (1,), "route_point": (2,), "ego_pos": (2,), "ego_heading": (1,),
+    "waypoints": (3, 2), "controls": (3,), "flags": (2,),
+}
+
+
 def _arrays_to_sample(arrays: dict, path) -> Sample:
-    try:
-        # arrays keep their stored float32 width so load(save(x)) == x
-        # byte for byte on freshly synthesized samples; load_dataset narrows
-        # the labels to uint8 once they pass the one-hot check
-        return Sample(
-            rgb=arrays["rgb"], depth_rgb=arrays["depth_rgb"], seg_gt=arrays["seg_gt"],
-            speed=float(arrays["speed"][0]),
-            route_point=arrays["route_point"],
-            ego_pos=arrays["ego_pos"],
-            ego_heading_deg=float(arrays["ego_heading"][0]),
-            waypoints_gt=arrays["waypoints"],
-            controls_gt=arrays["controls"],
-            tl_gt=float(arrays["flags"][0]), ss_gt=float(arrays["flags"][1]),
-            lidar=arrays.get("lidar"))
-    except KeyError as e:
-        raise CorruptDataError(f"{path}: missing record {e.args[0]}") from None
+    for name, want in _RECORD_SHAPES.items():
+        if name not in arrays:
+            raise CorruptDataError(f"{path}: missing record {name}")
+        got = arrays[name].shape
+        if len(got) != len(want) or 0 in got or any(w not in (None, g)
+                                                    for g, w in zip(got, want)):
+            raise CorruptDataError(f"{path}: record {name} has shape {got}, expected {want}")
+    # arrays keep their stored float32 width so load(save(x)) == x byte for
+    # byte on freshly synthesized samples; load_dataset narrows the labels
+    # to uint8 once they pass the one-hot check
+    return Sample(
+        rgb=arrays["rgb"], depth_rgb=arrays["depth_rgb"], seg_gt=arrays["seg_gt"],
+        speed=float(arrays["speed"][0]),
+        route_point=arrays["route_point"],
+        ego_pos=arrays["ego_pos"],
+        ego_heading_deg=float(arrays["ego_heading"][0]),
+        waypoints_gt=arrays["waypoints"],
+        controls_gt=arrays["controls"],
+        tl_gt=float(arrays["flags"][0]), ss_gt=float(arrays["flags"][1]),
+        lidar=arrays.get("lidar"))
 
 
 def save_dataset(directory, samples: List[Sample], seeds: List[int]) -> None:

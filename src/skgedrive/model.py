@@ -31,15 +31,8 @@ _NO_POINTS = np.zeros((4, 0), dtype=np.float32)
 
 
 @dataclass
-class ModelOutput:
+class ModelOutput(ControlOutput):
     seg_logits: Tensor        # (B, 23, H, W)
-    waypoints: Tensor         # (B, 3, 2)
-    steering: Tensor          # (B, 1)
-    throttle: Tensor          # (B, 1)
-    brake: Tensor             # (B, 1)
-    tl_prob: Tensor           # (B, 1)
-    ss_prob: Tensor           # (B, 1)
-    latent: Tensor            # (B, hidden)
 
 
 class DrivingModel(nn.Module):
@@ -87,11 +80,8 @@ class DrivingModel(nn.Module):
 
         route_local = Tensor(np.asarray(batch["route_local"], dtype=dtype))
         speed = Tensor(np.asarray(batch["speed"], dtype=dtype))
-        ctrl: ControlOutput = self.controller(pooled, route_local, speed)
-        return ModelOutput(seg_logits=seg_logits, waypoints=ctrl.waypoints,
-                           steering=ctrl.steering, throttle=ctrl.throttle,
-                           brake=ctrl.brake, tl_prob=ctrl.tl_prob,
-                           ss_prob=ctrl.ss_prob, latent=ctrl.latent)
+        ctrl = self.controller(pooled, route_local, speed)
+        return ModelOutput(seg_logits=seg_logits, **vars(ctrl))
 
 
 def make_batch(samples: List[Sample]) -> Dict[str, np.ndarray]:

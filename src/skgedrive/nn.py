@@ -93,7 +93,8 @@ class Mlp(Module):
 
 
 class GRUCell(Module):
-    """Single gated recurrent step with reset/update/candidate gates."""
+    """One GRU step; gi = x W_ih + b_ih and gh = h W_hh + b_hh hold r, z, n blocks:
+    [r, z] = sigmoid(gi + gh), n = tanh(gi_n + r gh_n), h' = n + z (h - n)."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.hidden_size = hidden_size
@@ -112,14 +113,10 @@ class GRUCell(Module):
         hs = self.hidden_size
         gi = ad.linear(x, self.w_ih, self.b_ih)
         gh = ad.linear(h, self.w_hh, self.b_hh)
-        i_r = ad.slice_(gi, (slice(None), slice(0, hs)))
-        i_z = ad.slice_(gi, (slice(None), slice(hs, 2 * hs)))
+        gates = ad.sigmoid(ad.add(gi, gh))   # the third block goes unread
+        r = ad.slice_(gates, (slice(None), slice(0, hs)))
+        z = ad.slice_(gates, (slice(None), slice(hs, 2 * hs)))
         i_n = ad.slice_(gi, (slice(None), slice(2 * hs, 3 * hs)))
-        h_r = ad.slice_(gh, (slice(None), slice(0, hs)))
-        h_z = ad.slice_(gh, (slice(None), slice(hs, 2 * hs)))
         h_n = ad.slice_(gh, (slice(None), slice(2 * hs, 3 * hs)))
-        r = ad.sigmoid(ad.add(i_r, h_r))
-        z = ad.sigmoid(ad.add(i_z, h_z))
         n = ad.tanh(ad.add(i_n, ad.mul(r, h_n)))
-        one_minus_z = ad.sub(ad.mul(z, -1.0), -1.0)
-        return ad.add(ad.mul(one_minus_z, n), ad.mul(z, h))
+        return ad.add(n, ad.mul(z, ad.sub(h, n)))

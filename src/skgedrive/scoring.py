@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .checkpoint import replacing
 from .errors import ContractError, CorruptDataError, DataError, ShapeError
 
 PENALTIES: Dict[str, float] = {
@@ -121,22 +122,19 @@ def driving_score(routes: Sequence[Tuple[float, float]]) -> float:
 # line-delimited log IO
 
 def write_drive_log(path, log: DriveLog) -> None:
-    """One JSON object per line; the first step line carries route_length."""
-    with open(path, "w") as fh:
-        first = True
-        for x, y, on_road in log.steps:
-            rec = {"route_id": log.route_id, "kind": "step", "x": x, "y": y,
-                   "on_road": bool(on_road), "infraction_type": ""}
-            if first:
+    """One JSON object per line, steps then infractions; the first line
+    carries route_length, so a log needs at least one of either."""
+    rows = [("step", x, y, bool(on_road), "") for x, y, on_road in log.steps]
+    rows += [("infraction", 0.0, 0.0, False, kind) for kind in log.infractions]
+    if not rows:
+        raise ContractError(f"route {log.route_id}: a drive log needs a step "
+                            f"or an infraction")
+    with replacing(path, "w") as fh:
+        for i, (kind, x, y, on_road, infraction) in enumerate(rows):
+            rec = {"route_id": log.route_id, "kind": kind, "x": x, "y": y,
+                   "on_road": on_road, "infraction_type": infraction}
+            if i == 0:
                 rec["route_length"] = log.total_route_length
-                first = False
-            fh.write(json.dumps(rec) + "\n")
-        for kind in log.infractions:
-            rec = {"route_id": log.route_id, "kind": "infraction", "x": 0.0,
-                   "y": 0.0, "on_road": False, "infraction_type": kind}
-            if first:
-                rec["route_length"] = log.total_route_length
-                first = False
             fh.write(json.dumps(rec) + "\n")
 
 

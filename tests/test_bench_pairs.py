@@ -122,3 +122,24 @@ def test_failed_share_worse_compares_failed_over_attempted_summed_per_side():
                                  {"parent": [], "change": [1]})
     assert not bp.failed_share_worse({"parent": [0], "change": [0]},
                                      {"parent": [0], "change": [0]})
+
+
+def test_write_entry_keeps_other_entries_and_survives_a_failed_write(tmp_path,
+                                                                    monkeypatch):
+    bp = _tool()
+    path = tmp_path / "BENCH_x.json"
+    bp.write_entry(path, "drive_b1/seed0/trace0", {"pairs": 10})
+    bp.write_entry(path, "train_b8/seed0/trace0", {"pairs": 10})
+    before = path.read_bytes()
+    assert set(json.loads(before)) == {"drive_b1/seed0/trace0", "train_b8/seed0/trace0"}
+
+    def half_write(self, text):
+        with open(self, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(Path, "write_text", half_write)
+    with pytest.raises(OSError, match="killed mid-write"):
+        bp.write_entry(path, "verify_f64/seed0/trace0", {"pairs": 10})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -71,6 +71,15 @@ def test_truncation_raises_at_every_boundary(tmp_path):
             read_records(cut)
 
 
+def test_a_record_name_written_twice_is_corruption(tmp_path):
+    path = tmp_path / "dup.rec"
+    write_records(path, {"w": np.ones(2, dtype=np.float32)})
+    raw = path.read_bytes()
+    path.write_bytes(raw + raw[8:])
+    with pytest.raises(CorruptDataError, match="dup.rec: record 'w' appears twice"):
+        read_records(path)
+
+
 def test_empty_payload_file_is_just_header(tmp_path):
     path = tmp_path / "none.rec"
     write_records(path, {})

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from skgedrive.checkpoint import MAGIC, VERSION, save_model, write_records
+from skgedrive.checkpoint import MAGIC, VERSION, read_records, save_model, write_records
 from skgedrive.cli import REPORT_FIELDS, _load_model_from_ckpt, evaluate_dataset, main
 from skgedrive.config import RunConfig
 from skgedrive.data import load_dataset, synth_scene
@@ -277,3 +277,23 @@ def test_score_log_with_undecodable_or_unhashable_field_exits_4(tmp_path, capsys
     code, _, stderr = _run(capsys, "score", "--logs", str(logs))
     assert code == 4
     assert "bad.ndjson" in stderr and message in stderr
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("flags", np.zeros(1)),
+    ("speed", np.zeros(0)),
+    ("rgb", np.zeros((64, 64))),
+    ("route_point", np.zeros(3)),
+    ("ego_pos", np.zeros(1)),
+    ("controls", np.zeros(4)),
+])
+def test_train_on_a_sample_record_of_the_wrong_shape_exits_4(tmp_path, capsys, name, bad):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    arrays = read_records(data / "000000.rec")
+    arrays[name] = bad
+    write_records(data / "000000.rec", arrays)
+    code, _, stderr = _run(capsys, "train", "--data", str(data),
+                           "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+    assert code == 4
+    assert f"000000.rec: record {name} has shape {bad.shape}" in stderr

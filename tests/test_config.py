@@ -26,7 +26,9 @@ NON_DEFAULT = {
 
 def test_dumps_loads_roundtrips_every_key():
     assert set(NON_DEFAULT) == set(DEFAULTS)
-    cfg = RunConfig(NON_DEFAULT)
+    cfg = RunConfig()
+    for key, value in NON_DEFAULT.items():
+        cfg.set(key, value)
     assert all(cfg[key] != DEFAULTS[key] for key in DEFAULTS)
     back = RunConfig().loads(cfg.dumps())
     for key, value in NON_DEFAULT.items():

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from skgedrive.config import RunConfig
+from skgedrive.controller import ControlOutput
 from skgedrive.data import synth_scene
 from skgedrive.errors import ConfigError
 from skgedrive.heads import NUM_CLASSES, BevConfig, lidar_bev
 from skgedrive.data import SceneConfig
-from skgedrive.model import DrivingModel, build_model, make_batch
+from skgedrive.model import DrivingModel, ModelOutput, build_model, make_batch
 
 
 def _forward(cfg=None, n=2, use_lidar=False, seed=0):
@@ -26,6 +29,26 @@ def test_output_shapes():
     for head in (out.steering, out.throttle, out.brake, out.tl_prob, out.ss_prob):
         assert head.shape == (3, 1)
     assert out.latent.shape == (3, model.controller.h0_proj.weight.shape[1])
+
+
+def test_model_output_is_a_control_output_plus_the_logits():
+    fields = ["steering", "throttle", "brake", "tl_prob", "ss_prob", "waypoints",
+              "latent"]
+    _, _, out = _forward(n=1)
+    assert isinstance(out, ControlOutput)
+    assert [f.name for f in dataclasses.fields(ModelOutput)] == fields + ["seg_logits"]
+
+
+def test_b1_forward_and_weighted_losses_record_312_ops():
+    from skgedrive import autodiff as ad
+    from skgedrive.training import TASKS, TaskWeights, compute_task_losses, total_loss
+
+    batch = make_batch([synth_scene(3)])
+    model = build_model(RunConfig(), np.random.default_rng(0))
+    with ad.Tape() as tape:
+        losses = compute_task_losses(model.forward(batch), batch)
+        total_loss([losses[t] for t in TASKS], TaskWeights())
+    assert len(tape.records) == 312
 
 
 def test_control_ranges():

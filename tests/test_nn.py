@@ -81,7 +81,17 @@ def test_gru_cell_matches_reference(seed):
     got = cell(Tensor(x), Tensor(h)).numpy()
     want = gru_reference(x, h, cell.w_ih.numpy(), cell.w_hh.numpy(),
                          cell.b_ih.numpy(), cell.b_hh.numpy())
-    np.testing.assert_allclose(got, want, atol=1e-10)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_gru_step_records_fourteen_ops(rng):
+    # two linears, one add and one sigmoid over all three gate blocks, four
+    # slices (r, z, i_n, h_n), the candidate's mul/add/tanh, then n + z (h - n)
+    cell = nn.GRUCell(5, 8, rng)
+    with Tape() as tape:
+        cell(Tensor(rng.standard_normal((2, 5)).astype(np.float32)),
+             Tensor(rng.standard_normal((2, 8)).astype(np.float32)))
+    assert len(tape.records) == 14
 
 
 def test_gru_cell_gradients(rng):

@@ -151,6 +151,35 @@ def test_drive_log_roundtrip(tmp_path):
     assert read_drive_log(path) == back
 
 
+def test_written_bytes_are_unchanged(tmp_path):
+    path = tmp_path / "r.ndjson"
+    write_drive_log(path, DriveLog("r1", 12.5, steps=[(0.0, 1.5, True), (3.25, -2.0, False)],
+                                   infractions=["ped", "red_light"]))
+    assert path.read_text() == (
+        '{"route_id": "r1", "kind": "step", "x": 0.0, "y": 1.5, "on_road": true, '
+        '"infraction_type": "", "route_length": 12.5}\n'
+        '{"route_id": "r1", "kind": "step", "x": 3.25, "y": -2.0, "on_road": false, '
+        '"infraction_type": ""}\n'
+        '{"route_id": "r1", "kind": "infraction", "x": 0.0, "y": 0.0, "on_road": false, '
+        '"infraction_type": "ped"}\n'
+        '{"route_id": "r1", "kind": "infraction", "x": 0.0, "y": 0.0, "on_road": false, '
+        '"infraction_type": "red_light"}\n')
+    write_drive_log(path, DriveLog("r2", 7.0, infractions=["veh"]))
+    assert path.read_text() == (
+        '{"route_id": "r2", "kind": "infraction", "x": 0.0, "y": 0.0, "on_road": false, '
+        '"infraction_type": "veh", "route_length": 7.0}\n')
+
+
+def test_a_log_with_nothing_to_write_is_refused_and_keeps_the_old_file(tmp_path):
+    path = tmp_path / "r.ndjson"
+    write_drive_log(path, _log([(0, 0, True)]))
+    before = path.read_bytes()
+    with pytest.raises(ContractError, match="route r: a drive log needs"):
+        write_drive_log(path, DriveLog("r", 10.0))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.ndjson"]
+
+
 def test_first_line_carries_route_length(tmp_path):
     path = tmp_path / "r.ndjson"
     write_drive_log(path, _log([(0, 0, True), (1, 1, True)], length=7.0))

@@ -12,10 +12,13 @@ afterwards.
 
 The results go into BENCH_<tag>.json at the root of this checkout, under
 the key "<workload>/seed<seed>/trace<trace>"; other keys already in the
-file are kept, so one tag collects several workloads and seeds. For each
-metric the entry holds each side's values, median and quartiles, the
-number of pairs the change won (by the metric's direction in
-BENCHMARK.json; ties count for neither side), and whether the gain rule
+file are kept, so one tag collects several workloads and seeds. The file
+is replaced whole through a temporary sibling, so a kill mid-write loses
+none of its other entries.
+
+For each metric the entry holds each side's values, median and
+quartiles, the number of pairs the change won (by the metric's direction
+in BENCHMARK.json; ties count for neither side), and whether the gain rule
 holds: at least ten pairs, the change wins at least nine in ten, and the
 medians differ by more than the parent's interquartile range. An
 end-to-end metric also gets `beyond_bound` and `worse_beyond_bound`:
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -106,6 +110,20 @@ def failed_share_worse(failed: dict, attempted: dict) -> bool:
     return share("change") > share("parent")
 
 
+def write_entry(path: Path, key: str, entry: dict) -> None:
+    """Set path's entry under key, keeping its other entries. The file is
+    written to a temporary sibling and renamed over path, so a failed or
+    killed write leaves the previous file whole."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc[key] = entry
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -160,9 +178,7 @@ def main(argv=None) -> int:
         "metrics": summarize(runs, better, bounds),
     }
     path = ROOT / f"BENCH_{args.tag}.json"
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc[f"{args.workload}/seed{args.seed}/trace{args.trace}"] = entry
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_entry(path, f"{args.workload}/seed{args.seed}/trace{args.trace}", entry)
     print(f"wrote {path.name}")
     return 0
 
