@@ -3,9 +3,9 @@
 Subcommands: gen (synthesize a dataset), train (fit and checkpoint),
 eval (task-metric report from a checkpoint), score (drive-log metrics),
 bench (throughput and peak memory). Exit codes: 0 success, 2 bad
-config/usage (a bad config value or a non-integer SKGE_SEED included),
-3 numeric failure, 4 corrupt data. The SKGE_SEED environment variable
-overrides --seed wherever one is accepted.
+config/usage (a bad config value, a non-integer SKGE_SEED and a missing
+or unusable path included), 3 numeric failure, 4 corrupt data. The
+SKGE_SEED environment variable overrides --seed wherever one is accepted.
 """
 
 from __future__ import annotations
@@ -64,9 +64,15 @@ def _train_config(args) -> RunConfig:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
+    metrics = args.metrics or args.out + ".metrics.ndjson"
+    for flag, path in (("--out", args.out), ("--metrics", metrics)):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent) or os.path.isdir(path):
+            raise ConfigError(f"{flag} {path}: not a file in an existing directory")
     cfg = _train_config(args)
     samples = load_dataset(args.data)
-    metrics = args.metrics or args.out + ".metrics.ndjson"
     state = fit(samples, cfg, args.out, metrics_path=metrics,
                 epochs=args.epochs, resume=args.resume)
     print(f"trained {state.epoch} epochs; best validation loss "
@@ -194,6 +200,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
+        print(f"cannot use {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

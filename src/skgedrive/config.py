@@ -85,5 +85,9 @@ class RunConfig:
         return self
 
     def load_file(self, path) -> "RunConfig":
-        with open(path) as fh:
-            return self.loads(fh.read(), str(path))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}: not UTF-8 text") from None
+        return self.loads(text, str(path))

@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoint import read_records, replacing, write_records
 from .controller import EgoState, local_to_global
 from .errors import CorruptDataError, DataError
-from .heads import NUM_CLASSES
+from .heads import NUM_CLASSES, CameraConfig
 
 CLASS_NAMES = (
     "Unlabeled", "Building", "Fence", "Other", "Pedestrian", "Pole",
@@ -131,9 +131,8 @@ def validate_sample(s: Sample) -> None:
 def _ground_depth(v: np.ndarray, size: int) -> np.ndarray:
     # camera at 1.5 m looking level: rows below the horizon hit the ground
     # at focal * height / (v - cy), clamped near the horizon
-    focal = size / 2.0
-    cy = size / 2.0
-    return focal * 1.5 / np.maximum(v - cy, 0.75)
+    cam = CameraConfig.for_image(size, size)
+    return cam.focal * 1.5 / np.maximum(v - cam.cy, 0.75)
 
 
 def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> Sample:
@@ -285,7 +284,18 @@ def _arrays_to_sample(arrays: dict, path) -> Sample:
 
 
 def save_dataset(directory, samples: List[Sample], seeds: List[int]) -> None:
+    """Write the samples, then their manifest. The files an existing
+    manifest lists are removed first, so a save cut short leaves a manifest
+    naming missing files (CorruptDataError on load), never a mix of two."""
     os.makedirs(directory, exist_ok=True)
+    try:
+        old = [fname for _, fname, _ in read_manifest(directory)]
+    except CorruptDataError:  # no manifest, or none that could load
+        old = []
+    for fname in old:
+        path = os.path.join(directory, fname)
+        if os.path.basename(fname) == fname and os.path.isfile(path):
+            os.remove(path)
     lines = [f"{_MANIFEST_TAG} 1 {len(samples)} classtable={_CLASSTABLE_VERSION}"]
     for i, (sample, seed) in enumerate(zip(samples, seeds)):
         fname = f"{i:06d}.rec"

@@ -112,6 +112,15 @@ class SegDecoder(nn.Module):
         return ad.transpose(logits, (0, 3, 1, 2))
 
 
+def _grid_cells(lateral: np.ndarray, forward: np.ndarray, bev: BevConfig) -> tuple:
+    """Metric (lateral, forward) points -> grid (rows, cols, inside); the ego
+    sits at the bottom-center, so row size-1 is distance 0."""
+    n, res = bev.size, bev.resolution_m
+    rows = n - 1 - np.rint(forward / res).astype(np.int64)
+    cols = np.rint(n / 2.0 + lateral / res).astype(np.int64)
+    return rows, cols, (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+
+
 def build_sdc(cls_map: np.ndarray, depth_m: np.ndarray, cam: CameraConfig,
               bev: BevConfig) -> np.ndarray:
     """(B, H, W) class ids and depths in meters -> (B, 23, Hb, Wb) one-hot
@@ -119,28 +128,19 @@ def build_sdc(cls_map: np.ndarray, depth_m: np.ndarray, cam: CameraConfig,
 
     Each pixel's ray is back-projected with its depth; the hit cell keeps
     the highest class index seen (order-independent, so permuting pixels
-    cannot change the result). Points outside the grid are dropped. The
-    ego sits at the bottom-center: row Hb-1 is distance 0.
+    cannot change the result). Points outside the grid are dropped.
     """
     if cam.focal <= 0:
         raise ConfigError(f"focal length must be positive, got {cam.focal}")
     if not (depth_m > 0).all():  # a NaN fails this too
         raise ContractError("depth must be positive meters")
     b, h, w = cls_map.shape
-    hb = wb = bev.size
-    res = bev.resolution_m
-
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    winner = np.full((b, hb, wb), -1, dtype=np.int64)
-    for i in range(b):
-        z = depth_m[i]
-        x = (uu - cam.cx) * z / cam.focal
-        rows = hb - 1 - np.rint(z / res).astype(np.int64)
-        cols = np.rint(wb / 2.0 + x / res).astype(np.int64)
-        keep = (rows >= 0) & (rows < hb) & (cols >= 0) & (cols < wb)
-        np.maximum.at(winner[i], (rows[keep], cols[keep]), cls_map[i][keep])
-
-    occ = np.zeros((b, NUM_CLASSES, hb, wb), dtype=np.float32)
+    lateral = (np.arange(w) - cam.cx) * depth_m / cam.focal
+    rows, cols, inside = _grid_cells(lateral, depth_m, bev)
+    winner = np.full((b, bev.size, bev.size), -1, dtype=np.int64)
+    image = np.broadcast_to(np.arange(b)[:, None, None], inside.shape)
+    np.maximum.at(winner, (image[inside], rows[inside], cols[inside]), cls_map[inside])
+    occ = np.zeros((b, NUM_CLASSES, bev.size, bev.size), dtype=np.float32)
     bi, ri, ci = np.nonzero(winner >= 0)
     occ[bi, winner[bi, ri, ci], ri, ci] = 1.0
     return occ
@@ -154,16 +154,10 @@ def lidar_bev(points: np.ndarray, bev: BevConfig) -> np.ndarray:
     """
     if points.ndim != 2 or points.shape[0] != 4:
         raise ContractError(f"expected (4, N) points, got {points.shape}")
-    hb = wb = bev.size
-    out = np.zeros((2, hb, wb), dtype=np.float32)
-    if points.shape[1] == 0:
-        return out
-    x, y, z = points[0], points[1], points[2]
-    rows = hb - 1 - np.rint(y / bev.resolution_m).astype(np.int64)
-    cols = np.rint(wb / 2.0 + x / bev.resolution_m).astype(np.int64)
-    keep = (rows >= 0) & (rows < hb) & (cols >= 0) & (cols < wb)
-    above = (z > 0) & keep
-    below = (z <= 0) & keep
+    out = np.zeros((2, bev.size, bev.size), dtype=np.float32)
+    rows, cols, inside = _grid_cells(points[0], points[1], bev)
+    above = (points[2] > 0) & inside
+    below = (points[2] <= 0) & inside
     np.add.at(out[0], (rows[above], cols[above]), 1.0)
     np.add.at(out[1], (rows[below], cols[below]), 1.0)
     return out

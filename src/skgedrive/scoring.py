@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -29,14 +29,17 @@ PENALTIES: Dict[str, float] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriveLog:
+    """One route's drive: a log that breaks a rule below cannot be built."""
     route_id: str
     total_route_length: float                 # meters, > 0
-    steps: List[Tuple[float, float, bool]] = field(default_factory=list)
-    infractions: List[str] = field(default_factory=list)
+    steps: Tuple[Tuple[float, float, bool], ...] = ()
+    infractions: Tuple[str, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "infractions", tuple(self.infractions))
         if not (self.total_route_length > 0):
             raise DataError(f"route {self.route_id}: route length must be positive")
         for x, y, _ in self.steps:
@@ -92,8 +95,6 @@ def route_completion(log: DriveLog) -> float:
 
     A segment counts when its STARTING step is flagged on-road.
     """
-    if not (log.total_route_length > 0):
-        raise ContractError(f"route {log.route_id}: route length must be positive")
     dist = 0.0
     for (x0, y0, on_road), (x1, y1, _) in zip(log.steps, log.steps[1:]):
         if on_road:
@@ -105,8 +106,6 @@ def infraction_penalty(log: DriveLog) -> float:
     """Product over infractions of the per-type penalty factor."""
     penalty = 1.0
     for kind in log.infractions:
-        if kind not in PENALTIES:
-            raise DataError(f"route {log.route_id}: unknown infraction {kind!r}")
         penalty *= PENALTIES[kind]
     return penalty
 
@@ -124,18 +123,17 @@ def driving_score(routes: Sequence[Tuple[float, float]]) -> float:
 def write_drive_log(path, log: DriveLog) -> None:
     """One JSON object per line, steps then infractions; the first line
     carries route_length, so a log needs at least one of either."""
-    rows = [("step", x, y, bool(on_road), "") for x, y, on_road in log.steps]
-    rows += [("infraction", 0.0, 0.0, False, kind) for kind in log.infractions]
-    if not rows:
+    recs = [{"route_id": log.route_id, "kind": "step", "x": x, "y": y,
+             "on_road": bool(on_road), "infraction_type": ""}
+            for x, y, on_road in log.steps]
+    recs += [{"route_id": log.route_id, "kind": "infraction", "x": 0.0, "y": 0.0,
+              "on_road": False, "infraction_type": kind} for kind in log.infractions]
+    if not recs:
         raise ContractError(f"route {log.route_id}: a drive log needs a step "
                             f"or an infraction")
+    recs[0]["route_length"] = log.total_route_length
     with replacing(path, "w") as fh:
-        for i, (kind, x, y, on_road, infraction) in enumerate(rows):
-            rec = {"route_id": log.route_id, "kind": kind, "x": x, "y": y,
-                   "on_road": on_road, "infraction_type": infraction}
-            if i == 0:
-                rec["route_length"] = log.total_route_length
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(json.dumps(rec) + "\n" for rec in recs)
 
 
 def _number(rec: dict, key: str, path, ln: int) -> float:
@@ -188,10 +186,8 @@ def read_drive_log(path) -> DriveLog:
         raise CorruptDataError(f"{path}: empty drive log")
     if length is None:
         raise CorruptDataError(f"{path}: no record carries route_length")
-    log = DriveLog(route_id=route_id, total_route_length=length,
-                   steps=steps, infractions=infractions)
-    log.validate()
-    return log
+    return DriveLog(route_id=route_id, total_route_length=length,
+                    steps=steps, infractions=infractions)
 
 
 def score_routes(logs: Sequence[DriveLog]) -> dict:

@@ -45,7 +45,7 @@ def l1_loss(pred: Tensor, gt: Tensor) -> Tensor:
 @dataclass
 class TaskWeights:
     """Per-task loss weights, kept positive and summing to 7."""
-    alphas: np.ndarray = field(default_factory=lambda: np.ones(7, dtype=np.float64))
+    alphas: np.ndarray = field(default_factory=lambda: np.ones(len(TASKS), dtype=np.float64))
 
     def as_dict(self) -> Dict[str, float]:
         return {t: float(a) for t, a in zip(TASKS, self.alphas)}
@@ -72,13 +72,13 @@ def mgn_update(weights: TaskWeights, norms) -> TaskWeights:
     The mean is common to every task and cancels in the renormalization.
     """
     norms = np.asarray(norms, dtype=np.float64)
-    if norms.shape != (7,):
-        raise ContractError(f"need 7 gradient norms, got shape {norms.shape}")
+    if norms.shape != (len(TASKS),):
+        raise ContractError(f"need {len(TASKS)} gradient norms, got shape {norms.shape}")
     if np.all(norms == 0.0):
         warnings.warn("all task gradient norms are zero; task weights left unchanged")
         return TaskWeights(weights.alphas.copy())
     f = _inverse_norm(weights.alphas, norms)
-    return TaskWeights(f * (7.0 / f.sum()))
+    return TaskWeights(f * (len(TASKS) / f.sum()))
 
 
 _BETAS = (0.9, 0.999)
@@ -209,7 +209,7 @@ def rebalance(tape: Tape, losses: Dict[str, Tensor], weights: TaskWeights,
                 acc[i] += f * p.grad
         norms.append(norm)
         factors.append(f)
-    scale = 7.0 / sum(factors)
+    scale = len(TASKS) / sum(factors)
     for p, a in zip(params, acc):
         if a is not None:
             a *= scale
@@ -314,7 +314,7 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
             t0 = time.perf_counter()
             state.epoch = epoch
             perm = rng.permutation(len(train_set))
-            task_sums = np.zeros(7)
+            task_sums = np.zeros(len(TASKS))
             seen = 0
             for bi, start in enumerate(range(0, len(perm), batch_size)):
                 chunk = [train_set[i] for i in perm[start:start + batch_size]]

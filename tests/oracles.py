@@ -235,6 +235,27 @@ def sdc_reference(cls_map, depth, focal, cx, cy, bev_size, res):
     return winner
 
 
+def build_sdc_per_image(cls_map, depth_m, cam, bev):
+    """build_sdc in its earlier form, one np.maximum.at per image: the
+    batched scatter must match it bit for bit."""
+    b, h, w = cls_map.shape
+    hb = wb = bev.size
+    res = bev.resolution_m
+    _, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    winner = np.full((b, hb, wb), -1, dtype=np.int64)
+    for i in range(b):
+        z = depth_m[i]
+        x = (uu - cam.cx) * z / cam.focal
+        rows = hb - 1 - np.rint(z / res).astype(np.int64)
+        cols = np.rint(wb / 2.0 + x / res).astype(np.int64)
+        keep = (rows >= 0) & (rows < hb) & (cols >= 0) & (cols < wb)
+        np.maximum.at(winner[i], (rows[keep], cols[keep]), cls_map[i][keep])
+    occ = np.zeros((b, 23, hb, wb), dtype=np.float32)
+    bi, ri, ci = np.nonzero(winner >= 0)
+    occ[bi, winner[bi, ri, ci], ri, ci] = 1.0
+    return occ
+
+
 def rotation_reference(heading_deg):
     a = math.radians(90.0 + heading_deg)
     return np.array([[math.cos(a), -math.sin(a)],

@@ -297,3 +297,67 @@ def test_train_on_a_sample_record_of_the_wrong_shape_exits_4(tmp_path, capsys, n
                            "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
     assert code == 4
     assert f"000000.rec: record {name} has shape {bad.shape}" in stderr
+
+
+@pytest.fixture
+def one_sample(tmp_path, capsys):
+    data = tmp_path / "data"
+    _run(capsys, "gen", "--out", str(data), "--count", "1")
+    return data
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_a_missing_checkpoint_exits_2_and_names_it(tmp_path, capsys, one_sample, command):
+    missing = tmp_path / "absent.ckpt"
+    argv = {"eval": ["--data", str(one_sample)], "bench": ["--iters", "1"]}[command]
+    code, _, stderr = _run(capsys, command, "--ckpt", str(missing), *argv)
+    assert code == 2
+    assert str(missing) in stderr
+
+
+@pytest.mark.parametrize("flag", ["--resume", "--config"])
+def test_train_from_a_missing_file_exits_2_and_names_it(tmp_path, capsys, one_sample, flag):
+    missing = tmp_path / "absent"
+    code, _, stderr = _run(capsys, "train", "--data", str(one_sample), "--epochs", "1",
+                           "--out", str(tmp_path / "m.ckpt"), flag, str(missing))
+    assert code == 2
+    assert str(missing) in stderr
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+@pytest.mark.parametrize("bad", ["absent/file", "a_directory"])
+def test_train_to_an_unwritable_path_exits_2_before_reading_data(tmp_path, capsys, flag, bad):
+    # --data names no dataset: the path check must come first to exit 2, not 4
+    (tmp_path / "a_directory").mkdir()
+    paths = {"--out": str(tmp_path / "m.ckpt"), "--metrics": str(tmp_path / "m.ndjson")}
+    paths[flag] = str(tmp_path / bad)
+    code, _, stderr = _run(capsys, "train", "--data", str(tmp_path / "nodata"),
+                           "--epochs", "1", "--out", paths["--out"],
+                           "--metrics", paths["--metrics"])
+    assert code == 2
+    assert f"{flag} {tmp_path / bad}" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+
+
+def test_gen_onto_an_existing_file_exits_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    code, _, stderr = _run(capsys, "gen", "--out", str(tmp_path / "taken"), "--count", "1")
+    assert code == 2
+    assert str(tmp_path / "taken") in stderr
+
+
+def test_train_with_zero_epochs_exits_2(tmp_path, capsys, one_sample):
+    code, stdout, stderr = _run(capsys, "train", "--data", str(one_sample),
+                                "--out", str(tmp_path / "m.ckpt"), "--epochs", "0")
+    assert code == 2
+    assert "--epochs must be >= 1" in stderr and stdout == ""
+
+
+def test_train_with_a_non_utf8_config_exits_2(tmp_path, capsys, one_sample):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"train.seed = 1\n\xff\n")
+    code, _, stderr = _run(capsys, "train", "--data", str(one_sample), "--config",
+                           str(config), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
+    assert code == 2
+    assert "run.cfg: not UTF-8" in stderr

@@ -81,3 +81,12 @@ def test_unknown_key_and_bad_value():
         RunConfig().set("backbone.variant", "desk")
     with pytest.raises(ConfigError, match="bad value"):
         RunConfig().set("train.seed", "x")
+
+
+def test_a_config_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"train.seed = 3 # \xff\n")
+    with pytest.raises(ConfigError, match="run.cfg: not UTF-8"):
+        RunConfig().load_file(path)
+    path.write_text("train.seed = 3 # café\n", encoding="utf-8")
+    assert RunConfig().load_file(path)["train.seed"] == 3

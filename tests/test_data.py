@@ -238,3 +238,32 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, small_samples,
         save_dataset(tmp_path, small_samples[:1], [7])
     assert manifest.read_bytes() == before
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+def test_an_interrupted_save_over_a_dataset_leaves_no_mix(tmp_path, small_samples,
+                                                          monkeypatch):
+    import skgedrive.data as data_mod
+
+    save_dataset(tmp_path, small_samples[:4], [0, 1, 2, 3])
+    real_write = data_mod.write_records
+    calls = []
+
+    def write_interrupted_on_third(path, arrays):
+        calls.append(path)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        real_write(path, arrays)
+
+    monkeypatch.setattr(data_mod, "write_records", write_interrupted_on_third)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset(tmp_path, small_samples[4:8], [4, 5, 6, 7])
+    with pytest.raises(CorruptDataError, match="listed in manifest but missing"):
+        load_dataset(tmp_path)
+
+    monkeypatch.setattr(data_mod, "write_records", real_write)
+    save_dataset(tmp_path, small_samples[4:6], [4, 5])
+    back = load_dataset(tmp_path)
+    assert [e[2] for e in read_manifest(tmp_path)] == [4, 5]
+    for got, want in zip(back, small_samples[4:6]):
+        np.testing.assert_array_equal(got.rgb, want.rgb)
+    assert sorted(os.listdir(tmp_path)) == ["000000.rec", "000001.rec", MANIFEST_NAME]

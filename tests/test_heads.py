@@ -4,13 +4,15 @@ import pytest
 from skgedrive import autodiff as ad
 from skgedrive.autodiff import Tape, Tensor
 from skgedrive.backbone import BackboneConfig
+from skgedrive.data import synth_scene
 from skgedrive.errors import ConfigError, ContractError
 from skgedrive.heads import (NUM_CLASSES, BevConfig, CameraConfig, SegDecoder,
                              build_sdc, lidar_bev, seg_argmax)
+from skgedrive.model import make_batch
 
 from skgedrive.skge import bilinear_resize
 
-from oracles import sdc_reference, sum_
+from oracles import build_sdc_per_image, sdc_reference, sum_
 
 
 def test_camera_defaults_from_image_size():
@@ -147,6 +149,22 @@ def test_sdc_batched_matches_stacked(rng):
     for i in range(3):
         one = build_sdc(cls_map[i:i + 1], depth[i:i + 1], cam, bev)[0]
         np.testing.assert_array_equal(full[i], one)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sdc_is_the_per_image_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    samples = [synth_scene(seed * 8 + i) for i in range(8)]
+    depth = make_batch(samples)["depth_m"]
+    for depth_m in (depth, depth.astype(np.float32),
+                    rng.uniform(0.3, 20.0, size=depth.shape)):
+        cls_map = rng.integers(0, NUM_CLASSES, size=depth.shape)
+        cam = CameraConfig.for_image(64, 64)
+        for bev in (BevConfig(), BevConfig(size=48, resolution_m=0.4)):
+            got = build_sdc(cls_map, depth_m, cam, bev)
+            want = build_sdc_per_image(cls_map, depth_m, cam, bev)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sdc_validation():

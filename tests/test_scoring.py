@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,8 +56,9 @@ def test_route_completion_matches_reference(seed):
 
 
 def test_route_completion_needs_positive_length():
-    with pytest.raises(ContractError):
-        route_completion(_log([(0, 0, True)], length=0.0))
+    for length in (0.0, -1.0, float("nan")):
+        with pytest.raises(DataError, match="route length must be positive"):
+            _log([(0, 0, True)], length=length)
 
 
 def test_infraction_penalty_multiplies():
@@ -65,11 +68,14 @@ def test_infraction_penalty_multiplies():
 
 
 def test_infraction_penalty_unknown_kind():
+    with pytest.raises(DataError, match="unknown infraction 'jaywalk'"):
+        DriveLog(route_id="x", total_route_length=5.0,
+                 steps=[(0, 0, True)], infractions=["jaywalk"])
     log = DriveLog(route_id="x", total_route_length=5.0,
-                   steps=[(0, 0, True)], infractions=[])
-    log.infractions.append("jaywalk")
-    with pytest.raises(DataError):
-        infraction_penalty(log)
+                   steps=[(0, 0, True)], infractions=["ped"])
+    assert log.infractions == ("ped",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.infractions = ("jaywalk",)
 
 
 def test_driving_score_is_mean_of_products():
@@ -133,6 +139,42 @@ def test_drive_log_validation():
         _log([(float("nan"), 0, True)]).validate()
     with pytest.raises(DataError):
         _log([(0, 0, True)], infractions=["meteor"]).validate()
+
+
+@pytest.mark.parametrize("steps, infractions, length", [
+    ([(0, 0, True), (float("nan"), 0, True)], [], 10.0),
+    ([(0, float("inf"), False)], [], 10.0),
+    ([(0, 0, True)], ["ped", "meteor"], 10.0),
+    ([(0, 0, True)], [], 0.0),
+    ([], ["veh"], -3.0),
+])
+def test_an_invalid_log_cannot_be_built(steps, infractions, length):
+    with pytest.raises(DataError):
+        DriveLog("r", length, steps, infractions)
+
+
+def _random_log(rng, route_id):
+    n = int(rng.integers(0, 12))
+    steps = [(float(x), float(y), bool(o)) for x, y, o in
+             zip(rng.uniform(-1e3, 1e3, n), rng.normal(0.0, 50.0, n), rng.random(n) < 0.5)]
+    kinds = list(PENALTIES)
+    infractions = [kinds[i] for i in rng.integers(0, len(kinds), int(rng.integers(0, 6)))]
+    if not steps and not infractions:
+        infractions = ["static"]
+    return DriveLog(route_id, float(rng.uniform(1e-3, 1e4)), steps, infractions)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_valid_logs_round_trip_equal(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    log = _random_log(rng, f"route{seed}")
+    path = tmp_path / "r.ndjson"
+    write_drive_log(path, log)
+    back = read_drive_log(path)
+    assert back == log
+    assert isinstance(back.steps, tuple) and isinstance(back.infractions, tuple)
+    assert route_completion(back) == route_completion(log)
+    assert math.isclose(infraction_penalty(back), ip_reference(log.infractions, PENALTIES))
 
 
 def test_drive_log_roundtrip(tmp_path):
