@@ -223,9 +223,9 @@ class PatchEmbed(nn.Module):
             raise ConfigError(f"expected {self.in_channels} input channels, got {cin}")
         if h % p or w % p:
             raise ConfigError(f"image {h}x{w} not divisible by patch size {p}")
-        x = ad.transpose(img, (0, 2, 3, 1))  # (B, H, W, Cin)
-        x = ad.reshape(x, (b, h // p, p, w // p, p, cin))
-        x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
+        # (B, Cin, H/p, p, W/p, p) -> (B, H/p, W/p, p, p, Cin), as PatchMerging cuts
+        x = ad.reshape(img, (b, cin, h // p, p, w // p, p))
+        x = ad.transpose(x, (0, 2, 4, 3, 5, 1))
         x = ad.reshape(x, (b, h // p, w // p, p * p * cin))
         return self.norm(self.proj(x))
 
@@ -241,33 +241,27 @@ class SwinEncoder(nn.Module):
     def __init__(self, config: BackboneConfig, in_channels: int,
                  rng: np.random.Generator):
         self.patch_embed = PatchEmbed(config, in_channels, rng)
-        self.stages = []
-        self.merges = []
-        for s in range(4):
-            dim = config.stage_channels(s + 1)
-            blocks = [SwinBlock(dim, config.heads[s], config.window_size,
-                                0 if i % 2 == 0 else config.window_size // 2,
-                                _MLP_RATIO, rng)
-                      for i in range(config.depths[s])]
-            self.stages.append(blocks)
-            if s < 3:
-                self.merges.append(PatchMerging(dim, rng))
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.patch_embed.named_parameters(f"{prefix}patch_embed.")
-        for s, blocks in enumerate(self.stages):
-            for i, blk in enumerate(blocks):
-                yield from blk.named_parameters(f"{prefix}stage{s + 1}.block{i}.")
-        for s, m in enumerate(self.merges):
-            yield from m.named_parameters(f"{prefix}merge{s + 1}.")
+        merges = []
+        for s in range(1, 5):
+            stage = nn.Module()
+            for i in range(config.depths[s - 1]):
+                setattr(stage, f"block{i}", SwinBlock(
+                    config.stage_channels(s), config.heads[s - 1], config.window_size,
+                    0 if i % 2 == 0 else config.window_size // 2, _MLP_RATIO, rng))
+            setattr(self, f"stage{s}", stage)
+            if s < 4:
+                merges.append(PatchMerging(config.stage_channels(s), rng))
+        # built in forward order (rng draws), named after the stages (checkpoint order)
+        for s, merge in enumerate(merges, 1):
+            setattr(self, f"merge{s}", merge)
 
     def forward_stages(self, img: Tensor) -> StageFeatures:
         x = self.patch_embed(img)
         feats: StageFeatures = {}
-        for s in range(4):
-            for blk in self.stages[s]:
+        for s in range(1, 5):
+            for blk in vars(getattr(self, f"stage{s}")).values():
                 x = blk(x)
-            feats[s + 1] = x
-            if s < 3:
-                x = self.merges[s](x)
+            feats[s] = x
+            if s < 4:
+                x = getattr(self, f"merge{s}")(x)
         return feats

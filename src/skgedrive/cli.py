@@ -3,9 +3,11 @@
 Subcommands: gen (synthesize a dataset), train (fit and checkpoint),
 eval (task-metric report from a checkpoint), score (drive-log metrics),
 bench (throughput and peak memory). Exit codes: 0 success, 2 bad
-config/usage (a bad config value, a non-integer SKGE_SEED and a missing
-or unusable path included), 3 numeric failure, 4 corrupt data. The
-SKGE_SEED environment variable overrides --seed wherever one is accepted.
+config/usage (a config value outside its domain, a negative or
+non-integer seed, an image of the wrong size, a checkpoint built for
+another model and a missing or unusable path included), 3 numeric
+failure, 4 corrupt data. The SKGE_SEED environment variable overrides
+--seed wherever one is accepted.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ from .training import REPORT_FIELDS, evaluate, fit, peak_rss_mb
 
 
 def _seed(flag: int | None) -> int | None:
-    """SKGE_SEED when it is set, else flag, the --seed value."""
+    """SKGE_SEED when it is set, else flag, the --seed value; never negative."""
     env = os.environ.get("SKGE_SEED")
-    if env is None:
-        return flag
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"SKGE_SEED must be an integer, got {env!r}") from None
+    seed, source = flag, "--seed"
+    if env is not None:
+        try:
+            seed, source = int(env), "SKGE_SEED"
+        except ValueError:
+            raise ConfigError(f"SKGE_SEED must be an integer, got {env!r}") from None
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_gen(args) -> int:

@@ -9,7 +9,8 @@ same text, written by dumps(), is stored in every training checkpoint.
 
 from __future__ import annotations
 
-from typing import Dict
+import math
+from typing import Callable, Dict, Tuple
 
 from .errors import ConfigError
 from .skge import parse_route
@@ -32,6 +33,18 @@ DEFAULTS: Dict[str, object] = {
     "train.patience_lr": 3,
     "train.patience_stop": 15,
     "train.seed": 0,
+}
+
+# what a key accepts beyond its type; BackboneConfig checks backbone.*
+DOMAINS: Dict[str, Tuple[str, Callable]] = {
+    "bev.resolution_m": ("a finite value > 0", lambda v: math.isfinite(v) and v > 0),
+    "bev.use_lidar": ("0 or 1", lambda v: v in (0, 1)),
+    "train.lr": ("a finite value > 0", lambda v: math.isfinite(v) and v > 0),
+    "train.weight_decay": ("a finite value >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "train.batch_size": ("an integer >= 1", lambda v: v >= 1),
+    "train.patience_lr": ("an integer >= 1", lambda v: v >= 1),
+    "train.patience_stop": ("an integer >= 1", lambda v: v >= 1),
+    "train.seed": ("an integer >= 0", lambda v: v >= 0),
 }
 
 
@@ -58,9 +71,9 @@ class RunConfig:
                 typed = ",".join(str(int(v)) for v in str(value).split(","))
         except (TypeError, ValueError):
             raise ConfigError(f"bad value {value!r} for config key {key!r}") from None
-        if key == "bev.use_lidar" and typed not in (0, 1):
+        if key in DOMAINS and not DOMAINS[key][1](typed):
             raise ConfigError(f"bad value {value!r} for config key {key!r}: "
-                              f"expected 0 or 1")
+                              f"expected {DOMAINS[key][0]}")
         self._values[key] = typed
 
     def __getitem__(self, key: str):

@@ -45,6 +45,7 @@ class DrivingModel(nn.Module):
         self.route_a = route_a
         self.route_b = route_b
         self.bev = bev
+        self.input_size = backbone.input_size
         self.cam = CameraConfig.for_image(backbone.input_size, backbone.input_size)
         self.use_lidar = use_lidar
 
@@ -56,13 +57,12 @@ class DrivingModel(nn.Module):
         self.fuse_b = SkipFusion(route_b, backbone.stage_channels, rng)
         self.controller = Controller(backbone.stage_channels(route_b.target), rng=rng)
 
-    def _dtype(self):
-        for _, p in self.named_parameters():
-            return p.dtype
-        return np.float32
-
     def forward(self, batch: Dict[str, np.ndarray]) -> ModelOutput:
-        dtype = self._dtype()
+        shape, s = np.shape(batch["rgb"]), self.input_size
+        if shape[1:] != (3, s, s):
+            raise ConfigError(f"images of shape {shape[1:]} for a model of input size {s}, "
+                              f"which needs (3, {s}, {s})")
+        dtype = self.decoder.head.weight.dtype
         rgb = Tensor(np.asarray(batch["rgb"], dtype=dtype) / 255.0)
         feats_a = self.enc_a.forward_stages(rgb)
         feats_a[self.route_a.target] = self.fuse_a.fuse(feats_a)

@@ -12,9 +12,9 @@ and training stops after 15.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
+import os
 import resource
 import time
 import warnings
@@ -26,7 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint, scoring
 from .autodiff import Tape, Tensor
-from .errors import ContractError, NumericError, ShapeError
+from .config import DEFAULTS, RunConfig
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .heads import NUM_CLASSES, seg_argmax
 from .model import DrivingModel, ModelOutput, build_model, make_batch
 
@@ -46,9 +47,6 @@ def l1_loss(pred: Tensor, gt: Tensor) -> Tensor:
 class TaskWeights:
     """Per-task loss weights, kept positive and summing to 7."""
     alphas: np.ndarray = field(default_factory=lambda: np.ones(len(TASKS), dtype=np.float64))
-
-    def as_dict(self) -> Dict[str, float]:
-        return {t: float(a) for t, a in zip(TASKS, self.alphas)}
 
 
 def total_loss(losses: Sequence[Tensor], weights: TaskWeights) -> Tensor:
@@ -276,7 +274,16 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
     rng = np.random.default_rng(cfg["train.seed"])
     model = build_model(cfg, rng)
     if resume is not None:
-        checkpoint.load_model(resume, model)
+        arrays = checkpoint.read_records(resume)
+        if checkpoint.CONFIG_RECORD in arrays:
+            saved = RunConfig().loads(checkpoint.config_text(arrays, resume),
+                                      f"{resume}:{checkpoint.CONFIG_RECORD}")
+            differ = [f"{k} = {saved[k]} (this run: {cfg[k]})" for k in DEFAULTS
+                      if not k.startswith("train.") and saved[k] != cfg[k]]
+            if differ:
+                raise ConfigError(f"{resume} holds a model built with "
+                                  f"{'; '.join(differ)}")
+        checkpoint.assign_parameters(arrays, model, resume)
     batch_size = cfg["train.batch_size"]
     patience_lr = cfg["train.patience_lr"]
     patience_stop = cfg["train.patience_stop"]
@@ -295,19 +302,17 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
     # one flushed ndjson line per epoch, so a killed run keeps the epochs it
     # finished; a resumed run appends after the lines of the run it resumes
     mode = "w" if resume is None else "a"
-    log_file = open(metrics_path, mode) if metrics_path is not None else contextlib.nullcontext()
-    with log_file as log:
+    with open(metrics_path or os.devnull, mode) as log:
 
         def emit(record):
-            if log is not None:
-                log.write(json.dumps(record) + "\n")
-                log.flush()
+            log.write(json.dumps(record) + "\n")
+            log.flush()
 
         if resume is not None:
             task0, _ = evaluate(model, val_set, batch_size)
             emit({"epoch": 0, "lr": opt.lr, "val_loss": float(np.dot(task0, weights.alphas)),
                   **{f"loss_{t}": float(v) for t, v in zip(TASKS, task0)},
-                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()},
+                  **{f"alpha_{t}": float(a) for t, a in zip(TASKS, weights.alphas)},
                   "peak_rss_mb": peak_rss_mb()})
 
         for epoch in range(1, epochs + 1):
@@ -360,7 +365,7 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
             emit({"epoch": epoch, "lr": opt.lr, "train_loss": train_total,
                   "val_loss": val_loss,
                   **{f"loss_{t}": float(v) for t, v in zip(TASKS, task_means)},
-                  **{f"alpha_{t}": a for t, a in weights.as_dict().items()},
+                  **{f"alpha_{t}": float(a) for t, a in zip(TASKS, weights.alphas)},
                   "wall_s": wall, "samples_per_s": seen / wall,
                   **{f"norm_{t}": n for t, n in zip(TASKS, norms)},
                   **{f"val_{k}": v for k, v in val_metrics.items()},

@@ -290,13 +290,20 @@ def test_encoder_stage_dict_obeys_shape_law(rng):
 
 
 def test_encoder_parameter_names(rng):
-    cfg = _cfg(input_size=32, embed_dim=8, depths=(2, 1, 1, 1), heads=(2, 2, 4, 4))
+    # checkpoints, the gate's chunks and its coordinate draws follow this
+    # order: every stage's blocks, then every merge
+    cfg = _cfg(input_size=32, embed_dim=8, depths=(2, 2, 2, 2), heads=(2, 2, 4, 4))
     enc = SwinEncoder(cfg, 3, rng)
-    names = [n for n, _ in enc.named_parameters()]
-    assert any(n.startswith("patch_embed.") for n in names)
-    assert any(n.startswith("stage1.block1.attn.qkv") for n in names)
-    assert any(n.startswith("merge1.") for n in names)
-    assert len(names) == len(set(names))
+    block = ["norm1.gamma", "norm1.beta", "attn.qkv.weight", "attn.qkv.bias",
+             "attn.proj.weight", "attn.proj.bias", "attn.rel_bias", "norm2.gamma",
+             "norm2.beta", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight",
+             "mlp.fc2.bias"]
+    merge = ["norm.gamma", "norm.beta", "reduction.weight"]
+    want = ["patch_embed.proj.weight", "patch_embed.proj.bias",
+            "patch_embed.norm.gamma", "patch_embed.norm.beta"]
+    want += [f"stage{s}.block{i}.{n}" for s in range(1, 5) for i in range(2) for n in block]
+    want += [f"merge{s}.{n}" for s in range(1, 4) for n in merge]
+    assert [n for n, _ in enc.named_parameters()] == want
 
 
 def test_encoder_every_parameter_reaches_the_loss(rng):

@@ -120,7 +120,11 @@ def test_train_rejects_bad_route(tmp_path, capsys):
     assert "config error" in stderr
 
 
-@pytest.mark.parametrize("line", ["backbone.depths = 1,x,2,1", "bev.use_lidar = 2"])
+@pytest.mark.parametrize("line", ["backbone.depths = 1,x,2,1", "bev.use_lidar = 2",
+                                  "train.batch_size = 0", "train.patience_lr = 0",
+                                  "train.patience_stop = 0", "train.lr = nan",
+                                  "train.weight_decay = -1", "bev.resolution_m = -1",
+                                  "train.seed = -1"])
 def test_train_rejects_bad_config_value(tmp_path, capsys, line):
     data = tmp_path / "data"
     _run(capsys, "gen", "--out", str(data), "--count", "1")
@@ -361,3 +365,55 @@ def test_train_with_a_non_utf8_config_exits_2(tmp_path, capsys, one_sample):
                            str(config), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1")
     assert code == 2
     assert "run.cfg: not UTF-8" in stderr
+
+
+def _default_checkpoint(path, route=None):
+    cfg = RunConfig()
+    if route is not None:
+        cfg.set("skge.route_a", route)
+        cfg.set("skge.route_b", route)
+    save_model(path, build_model(cfg, np.random.default_rng(0)), config=cfg.dumps())
+    return path
+
+
+@pytest.mark.parametrize("command, env, flag", [("gen", None, "-1"), ("train", None, "-1"),
+                                                ("bench", "-5", "0"), ("gen", "-5", "0")])
+def test_a_negative_seed_exits_2(tmp_path, capsys, monkeypatch, one_sample, command, env,
+                                 flag):
+    if env is not None:
+        monkeypatch.setenv("SKGE_SEED", env)
+    argv = {"gen": ["--out", str(tmp_path / "d2"), "--count", "1"],
+            "train": ["--data", str(one_sample), "--out", str(tmp_path / "m.ckpt"),
+                      "--epochs", "1"],
+            "bench": ["--ckpt", str(_default_checkpoint(tmp_path / "c.ckpt")),
+                      "--iters", "1"]}[command]
+    code, stdout, stderr = _run(capsys, command, *argv, "--seed", flag)
+    assert code == 2
+    source = "--seed" if env is None else "SKGE_SEED"
+    assert f"{source} must be >= 0, got {env or flag}" in stderr and stdout == ""
+    assert not (tmp_path / "d2").exists() and not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_on_images_of_another_size_exits_2(tmp_path, capsys):
+    data = tmp_path / "data32"
+    _run(capsys, "gen", "--out", str(data), "--count", "1", "--size", "32")
+    ckpt = _default_checkpoint(tmp_path / "m64.ckpt")
+    code, stdout, stderr = _run(capsys, "eval", "--data", str(data), "--ckpt", str(ckpt))
+    assert code == 2
+    assert "images of shape (3, 32, 32) for a model of input size 64" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("saved_route, run_route", [("none", None), (None, "none")])
+def test_resume_from_another_models_checkpoint_exits_2_and_names_the_keys(
+        tmp_path, capsys, one_sample, saved_route, run_route):
+    ckpt = _default_checkpoint(tmp_path / "other.ckpt", saved_route)
+    route = [] if run_route is None else ["--skge-route", run_route]
+    code, _, stderr = _run(capsys, "train", "--data", str(one_sample), "--epochs", "1",
+                           "--out", str(tmp_path / "m.ckpt"), "--resume", str(ckpt), *route)
+    assert code == 2
+    saved, this = ("4", "1->4") if saved_route else ("1->4", "4")
+    for key in ("skge.route_a", "skge.route_b"):
+        assert f"{key} = {saved} (this run: {this})" in stderr
+    assert "backbone." not in stderr and "train." not in stderr
+    assert not (tmp_path / "m.ckpt").exists()

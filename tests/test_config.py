@@ -64,10 +64,26 @@ def test_stage_lists_are_stored_as_integer_text():
 
 @pytest.mark.parametrize("key, bad", [("backbone.depths", "1,x,2,1"),
                                       ("backbone.heads", "2,4,,16"),
-                                      ("bev.use_lidar", 2), ("bev.use_lidar", "-1")])
+                                      ("bev.use_lidar", 2), ("bev.use_lidar", "-1"),
+                                      ("bev.resolution_m", "-1"), ("bev.resolution_m", 0),
+                                      ("bev.resolution_m", "inf"), ("train.lr", "nan"),
+                                      ("train.lr", 0), ("train.weight_decay", "-1e-3"),
+                                      ("train.weight_decay", "nan"),
+                                      ("train.batch_size", 0), ("train.patience_lr", 0),
+                                      ("train.patience_stop", 0), ("train.seed", -1)])
 def test_bad_value_fails_when_set(key, bad):
     with pytest.raises(ConfigError, match="bad value"):
         RunConfig().set(key, bad)
+
+
+def test_values_at_the_edge_of_their_domain_are_kept():
+    cfg = RunConfig()
+    edges = {"train.weight_decay": 0.0, "train.seed": 0, "train.batch_size": 1,
+             "train.patience_lr": 1, "train.patience_stop": 1, "train.lr": 1e-300,
+             "bev.resolution_m": 1e-3}
+    for key, value in edges.items():
+        cfg.set(key, value)
+        assert cfg[key] == value, key
 
 
 @pytest.mark.parametrize("bad", ["4->4", "5", "1->"])

@@ -491,6 +491,13 @@ def test_fit_resume_appends_to_the_metrics_file(tmp_path):
     assert len(after) > 2
 
 
+def test_fit_without_a_metrics_path_leaves_only_the_checkpoint(tmp_path):
+    cfg = RunConfig()
+    cfg.set("train.batch_size", 2)
+    fit([synth_scene(i) for i in range(3)], cfg, tmp_path / "model.ckpt", epochs=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_fit_frees_the_step_tape_before_the_optimizer_step(tmp_path, monkeypatch):
     # AdamW reads only the leaf gradients: by the time it runs, the step's
     # tape, its losses and every backward closure (with the arrays it keeps)
