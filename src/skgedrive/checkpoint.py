@@ -9,8 +9,8 @@ checkpoints and dataset samples.
 
 A checkpoint holds one record per parameter, scalar metadata under meta/
 names, and, when written by training, a rank-1 `config` record: the run
-config's text (RunConfig.dumps), one element per UTF-8 byte. Bytes are
-0..255, which float32 stores exactly.
+config's text (RunConfig.dumps), one UTF-8 byte per element (0..255, which
+float32 stores exactly). Only this module encodes or decodes a checkpoint.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Dict
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, CorruptDataError
 
 MAGIC = b"SKGE"
@@ -110,12 +111,12 @@ def read_records(path) -> Dict[str, np.ndarray]:
 
 
 def save_model(path, model, meta: Dict[str, float] | None = None,
-               config: str | None = None) -> None:
+               cfg: RunConfig | None = None) -> None:
     """Store model parameters, scalar metadata under meta/ names, and the
-    run config text as the `config` record."""
+    run config's text as the `config` record."""
     arrays: Dict[str, np.ndarray] = {}
-    if config is not None:
-        arrays[CONFIG_RECORD] = np.frombuffer(config.encode("utf-8"), dtype=np.uint8)
+    if cfg is not None:
+        arrays[CONFIG_RECORD] = np.frombuffer(cfg.dumps().encode("utf-8"), dtype=np.uint8)
     for key, value in (meta or {}).items():
         arrays[f"meta/{key}"] = np.asarray([float(value)], dtype=np.float32)
     for name, p in model.named_parameters():
@@ -123,20 +124,22 @@ def save_model(path, model, meta: Dict[str, float] | None = None,
     write_records(path, arrays)
 
 
-def config_text(arrays: Dict[str, np.ndarray], path) -> str:
-    """The run config text a checkpoint's `config` record carries."""
-    codes = arrays.get(CONFIG_RECORD)
+def read_config(path) -> RunConfig:
+    """The run config a checkpoint's `config` record carries."""
+    codes = read_records(path).get(CONFIG_RECORD)
     if codes is None:
         raise ConfigError(f"{path}: checkpoint has no {CONFIG_RECORD!r} record, "
                           f"so the model it holds cannot be rebuilt")
     try:
-        return codes.astype(np.uint8).tobytes().decode("utf-8")
+        text = codes.astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError:
         raise CorruptDataError(f"{path}: {CONFIG_RECORD!r} record is not UTF-8") from None
+    return RunConfig().loads(text, f"{path}:{CONFIG_RECORD}")
 
 
-def assign_parameters(arrays: Dict[str, np.ndarray], model, path) -> Dict[str, float]:
-    """Set model's parameters from records read from path; returns the meta/ scalars."""
+def load_model(path, model) -> Dict[str, float]:
+    """Load parameters by name into model; returns the meta/ scalars."""
+    arrays = read_records(path)
     meta = {k[len("meta/"):]: float(v[0]) for k, v in arrays.items()
             if k.startswith("meta/")}
     params = dict(model.named_parameters())
@@ -154,8 +157,3 @@ def assign_parameters(arrays: Dict[str, np.ndarray], model, path) -> Dict[str, f
     if extra:
         raise ConfigError(f"{path}: checkpoint has records the model does not: {extra[:3]}")
     return meta
-
-
-def load_model(path, model) -> Dict[str, float]:
-    """Load parameters by name into model; returns the meta/ scalars."""
-    return assign_parameters(read_records(path), model, path)

@@ -89,11 +89,9 @@ def cmd_train(args) -> int:
 
 def _load_model_from_ckpt(path):
     """The model a training checkpoint holds, rebuilt from its config record."""
-    arrays = checkpoint.read_records(path)
-    cfg = RunConfig().loads(checkpoint.config_text(arrays, path),
-                            f"{path}:{checkpoint.CONFIG_RECORD}")
+    cfg = checkpoint.read_config(path)
     model = build_model(cfg, np.random.default_rng(0))
-    checkpoint.assign_parameters(arrays, model, path)
+    checkpoint.load_model(path, model)
     return model, cfg
 
 

@@ -344,9 +344,13 @@ def read_manifest(directory) -> List[tuple]:
 
 
 def load_dataset(directory) -> List[Sample]:
-    """Load every sample in manifest order, validating invariants."""
+    """Load every sample in manifest order, validating invariants; a dataset
+    needs at least one sample, and all of its images one size."""
+    entries = read_manifest(directory)
+    if not entries:
+        raise DataError(f"{directory}: dataset has no samples")
     samples = []
-    for _, fname, _ in read_manifest(directory):
+    for _, fname, _ in entries:
         path = os.path.join(directory, fname)
         if not os.path.exists(path):
             raise CorruptDataError(f"{path}: listed in manifest but missing")
@@ -355,6 +359,9 @@ def load_dataset(directory) -> List[Sample]:
             validate_sample(sample)
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
+        if samples and sample.rgb.shape != samples[0].rgb.shape:
+            raise DataError(f"{path}: image shape {sample.rgb.shape} differs from "
+                            f"the first sample's {samples[0].rgb.shape}")
         sample.seg_gt = sample.seg_gt.astype(np.uint8)
         samples.append(sample)
     return samples

@@ -33,15 +33,16 @@ PENALTIES: Dict[str, float] = {
 class DriveLog:
     """One route's drive: a log that breaks a rule below cannot be built."""
     route_id: str
-    total_route_length: float                 # meters, > 0
+    total_route_length: float                 # meters, finite, > 0
     steps: Tuple[Tuple[float, float, bool], ...] = ()
     infractions: Tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "infractions", tuple(self.infractions))
-        if not (self.total_route_length > 0):
-            raise DataError(f"route {self.route_id}: route length must be positive")
+        if not (math.isfinite(self.total_route_length) and self.total_route_length > 0):
+            raise DataError(f"route {self.route_id}: route length must be positive "
+                            f"and finite, got {self.total_route_length}")
         for x, y, _ in self.steps:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"route {self.route_id}: non-finite step position")
@@ -166,6 +167,9 @@ def read_drive_log(path) -> DriveLog:
             for fld in ("route_id", "kind", "x", "y", "on_road", "infraction_type"):
                 if fld not in rec:
                     raise CorruptDataError(f"{path}:{ln}: missing field {fld!r}")
+            if not isinstance(rec["route_id"], str):
+                raise CorruptDataError(f"{path}:{ln}: route_id is not a string: "
+                                       f"{rec['route_id']!r}")
             if route_id is None:
                 route_id = rec["route_id"]
             elif rec["route_id"] != route_id:
@@ -186,8 +190,11 @@ def read_drive_log(path) -> DriveLog:
         raise CorruptDataError(f"{path}: empty drive log")
     if length is None:
         raise CorruptDataError(f"{path}: no record carries route_length")
-    return DriveLog(route_id=route_id, total_route_length=length,
-                    steps=steps, infractions=infractions)
+    try:
+        return DriveLog(route_id=route_id, total_route_length=length,
+                        steps=steps, infractions=infractions)
+    except DataError as e:
+        raise CorruptDataError(f"{path}: {e}") from None
 
 
 def score_routes(logs: Sequence[DriveLog]) -> dict:

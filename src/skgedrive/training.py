@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint, scoring
 from .autodiff import Tape, Tensor
-from .config import DEFAULTS, RunConfig
+from .config import DEFAULTS
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .heads import NUM_CLASSES, seg_argmax
 from .model import DrivingModel, ModelOutput, build_model, make_batch
@@ -274,16 +274,12 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
     rng = np.random.default_rng(cfg["train.seed"])
     model = build_model(cfg, rng)
     if resume is not None:
-        arrays = checkpoint.read_records(resume)
-        if checkpoint.CONFIG_RECORD in arrays:
-            saved = RunConfig().loads(checkpoint.config_text(arrays, resume),
-                                      f"{resume}:{checkpoint.CONFIG_RECORD}")
-            differ = [f"{k} = {saved[k]} (this run: {cfg[k]})" for k in DEFAULTS
-                      if not k.startswith("train.") and saved[k] != cfg[k]]
-            if differ:
-                raise ConfigError(f"{resume} holds a model built with "
-                                  f"{'; '.join(differ)}")
-        checkpoint.assign_parameters(arrays, model, resume)
+        saved = checkpoint.read_config(resume)
+        differ = [f"{k} = {saved[k]} (this run: {cfg[k]})" for k in DEFAULTS
+                  if not k.startswith("train.") and saved[k] != cfg[k]]
+        if differ:
+            raise ConfigError(f"{resume} holds a model built with {'; '.join(differ)}")
+        checkpoint.load_model(resume, model)
     batch_size = cfg["train.batch_size"]
     patience_lr = cfg["train.patience_lr"]
     patience_stop = cfg["train.patience_stop"]
@@ -354,8 +350,7 @@ def fit(samples, cfg, out_ckpt, metrics_path=None, epochs: int = 50,
                 state.best_val = val_loss
                 state.stagnant = 0
                 checkpoint.save_model(out_ckpt, model,
-                                      {"epoch": epoch, "val_loss": val_loss},
-                                      config=cfg.dumps())
+                                      {"epoch": epoch, "val_loss": val_loss}, cfg)
             else:
                 state.stagnant += 1
                 if state.stagnant % patience_lr == 0:

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skgedrive.checkpoint import (MAGIC, VERSION, config_text, load_model,
+import skgedrive
+from skgedrive.checkpoint import (MAGIC, VERSION, load_model, read_config,
                                   read_records, save_model, write_records)
 from skgedrive.config import RunConfig
 from skgedrive.errors import ConfigError, CorruptDataError
@@ -133,11 +135,11 @@ def test_config_record_roundtrip(tmp_path):
     cfg.set("skge.route_b", "1,2,3->4")
     model = build_model(cfg, np.random.default_rng(1))
     path = tmp_path / "m.ckpt"
-    save_model(path, model, {"epoch": 7.0}, config=cfg.dumps())
+    save_model(path, model, {"epoch": 7.0}, cfg=cfg)
     arrays = read_records(path)
     text = cfg.dumps()
     assert arrays["config"].shape == (len(text.encode("utf-8")),)
-    assert config_text(arrays, path) == text
+    assert read_config(path).dumps() == text
     # load_model skips the config record in its extra-record check
     assert load_model(path, build_model(cfg, np.random.default_rng(2))) == {"epoch": 7.0}
 
@@ -146,7 +148,24 @@ def test_missing_config_record_is_config_error(tmp_path):
     path = tmp_path / "m.ckpt"
     save_model(path, build_model(RunConfig(), np.random.default_rng(1)))
     with pytest.raises(ConfigError, match="'config' record"):
-        config_text(read_records(path), path)
+        read_config(path)
+
+
+def test_a_config_record_that_is_not_utf8_is_corrupt_data(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_records(path, {"config": np.array([0xFF, 0xFE], dtype=np.uint8)})
+    with pytest.raises(CorruptDataError, match="'config' record is not UTF-8"):
+        read_config(path)
+
+
+def test_only_checkpoint_and_data_read_or_write_record_files():
+    """Everything else goes through read_config, load_model and save_model,
+    so one module decides how a checkpoint is encoded."""
+    package = Path(skgedrive.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py")
+                    if re.search(r"\b(read_records|write_records|CONFIG_RECORD)\b",
+                                 p.read_text()))
+    assert naming == ["checkpoint.py", "data.py"]
 
 
 class _FailingArray:

@@ -168,6 +168,10 @@ def test_train_on_manifest_with_bad_integer_exits_4(tmp_path, capsys, header, en
     '{"route_id": "a", "kind": "step", "x": 0, "y": 0, "on_road": true, '
     '"infraction_type": "", "route_length": null}',
     "5",
+    '{"route_id": [1], "kind": "step", "x": 0, "y": 0, "on_road": true, '
+    '"infraction_type": "", "route_length": 10}',
+    '{"route_id": null, "kind": "step", "x": 0, "y": 0, "on_road": true, '
+    '"infraction_type": "", "route_length": 10}',
 ])
 def test_score_log_with_bad_record_exits_4(tmp_path, capsys, line):
     logs = tmp_path / "logs"
@@ -372,7 +376,7 @@ def _default_checkpoint(path, route=None):
     if route is not None:
         cfg.set("skge.route_a", route)
         cfg.set("skge.route_b", route)
-    save_model(path, build_model(cfg, np.random.default_rng(0)), config=cfg.dumps())
+    save_model(path, build_model(cfg, np.random.default_rng(0)), cfg=cfg)
     return path
 
 
@@ -417,3 +421,66 @@ def test_resume_from_another_models_checkpoint_exits_2_and_names_the_keys(
         assert f"{key} = {saved} (this run: {this})" in stderr
     assert "backbone." not in stderr and "train." not in stderr
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_resume_from_a_checkpoint_without_a_config_record_exits_2(tmp_path, capsys,
+                                                                   one_sample):
+    # saved from a --skge-route none model with no config record: there is
+    # nothing to compare this run's config with, so it cannot be resumed
+    cfg = RunConfig()
+    cfg.set("skge.route_a", "none")
+    cfg.set("skge.route_b", "none")
+    ckpt = tmp_path / "noconf.ckpt"
+    save_model(ckpt, build_model(cfg, np.random.default_rng(0)))
+    code, stdout, stderr = _run(capsys, "train", "--data", str(one_sample), "--epochs", "1",
+                                "--out", str(tmp_path / "m.ckpt"), "--resume", str(ckpt))
+    assert code == 2
+    assert "noconf.ckpt: checkpoint has no 'config' record" in stderr and stdout == ""
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def _eval_or_train(capsys, command, data, tmp_path):
+    if command == "train":
+        return _run(capsys, "train", "--data", str(data), "--epochs", "1",
+                    "--out", str(tmp_path / "m.ckpt"))
+    ckpt = _default_checkpoint(tmp_path / "c.ckpt")
+    return _run(capsys, "eval", "--data", str(data), "--ckpt", str(ckpt))
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_dataset_with_no_samples_exits_4(tmp_path, capsys, command):
+    data = tmp_path / "empty"
+    data.mkdir()
+    (data / "manifest.txt").write_text("skge-dataset 1 0 classtable=1\n")
+    code, stdout, stderr = _eval_or_train(capsys, command, data, tmp_path)
+    assert code == 4
+    assert f"{data}: dataset has no samples" in stderr and stdout == ""
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_dataset_of_images_of_two_sizes_exits_4(tmp_path, capsys, command):
+    data, small = tmp_path / "data", tmp_path / "small"
+    _run(capsys, "gen", "--out", str(data), "--count", "2")
+    _run(capsys, "gen", "--out", str(small), "--count", "1", "--size", "32")
+    (small / "000000.rec").rename(data / "000002.rec")
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(" 2 classtable", " 3 classtable")
+                        + "2 000002.rec 9\n")
+    code, stdout, stderr = _eval_or_train(capsys, command, data, tmp_path)
+    assert code == 4
+    assert "000002.rec: image shape (3, 32, 32) differs from the first sample's " \
+           "(3, 64, 64)" in stderr and stdout == ""
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_score_log_with_an_infinite_route_length_exits_4(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "bad.ndjson").write_text(
+        '{"route_id": "a", "kind": "step", "x": 0, "y": 0, "on_road": true, '
+        '"infraction_type": "", "route_length": Infinity}\n')
+    code, stdout, stderr = _run(capsys, "score", "--logs", str(logs))
+    assert code == 4
+    assert "bad.ndjson: route a: route length must be positive and finite" in stderr
+    assert stdout == ""

@@ -147,6 +147,7 @@ def test_drive_log_validation():
     ([(0, 0, True)], ["ped", "meteor"], 10.0),
     ([(0, 0, True)], [], 0.0),
     ([], ["veh"], -3.0),
+    ([(0, 0, True)], [], float("inf")),
 ])
 def test_an_invalid_log_cannot_be_built(steps, infractions, length):
     with pytest.raises(DataError):

@@ -14,7 +14,7 @@ import skgedrive
 from skgedrive import autodiff as ad
 from skgedrive import training
 from skgedrive.autodiff import Tape, Tensor
-from skgedrive.checkpoint import config_text, load_model, read_records
+from skgedrive.checkpoint import load_model, read_config
 from skgedrive.config import RunConfig
 from skgedrive.data import synth_scene
 from skgedrive.errors import ContractError, DataError, ShapeError
@@ -446,7 +446,7 @@ def test_fit_writes_checkpoint_metrics_and_improves(tmp_path):
     state = fit(samples, cfg, ckpt, metrics_path=metrics, epochs=3)
     assert state.epoch == 3
     assert ckpt.exists()
-    saved = RunConfig().loads(config_text(read_records(ckpt), ckpt))
+    saved = read_config(ckpt)
     assert saved["backbone.input_size"] == 64
     meta = load_model(ckpt, build_model(saved, np.random.default_rng(0)))
     assert meta["epoch"] >= 1.0
