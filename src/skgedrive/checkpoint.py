@@ -3,14 +3,21 @@
 Layout: magic b"SKGE" + format version 1 (4-byte little-endian), then one
 record per tensor: name length (u32 LE), UTF-8 name, rank (u32 LE), one
 u32 LE extent per axis, then the float32 LE payload, row-major. Records
-run until end of file; anything short of a whole record, and a name
-written twice, is corruption. The same container stores model
-checkpoints and dataset samples.
+run until end of file; anything short of a whole record, a rank above
+MAX_RANK, and a name written twice, is corruption. The same container
+stores model checkpoints and dataset samples.
+
+A file is read in one pass: each length is checked against the bytes
+left before anything is allocated for it, and each payload is read from
+the file straight into its own array, so reading a file costs one copy
+of its payloads.
 
 A checkpoint holds one record per parameter, scalar metadata under meta/
 names, and, when written by training, a rank-1 `config` record: the run
 config's text (RunConfig.dumps), one UTF-8 byte per element (0..255, which
 float32 stores exactly). Only this module encodes or decodes a checkpoint.
+load_model checks every record against the model before it rebinds any
+parameter, so a load that fails leaves the model as it was.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import ConfigError, CorruptDataError
 MAGIC = b"SKGE"
 VERSION = 1
 CONFIG_RECORD = "config"
+MAX_RANK = 32  # the most axes every supported numpy release allows an array
 
 
 @contextlib.contextmanager
@@ -67,46 +75,70 @@ def write_records(path, arrays: Dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def _take(buf: memoryview, offset: int, n: int, path, what: str) -> tuple:
-    if offset + n > len(buf):
-        raise CorruptDataError(f"{path}: truncated while reading {what}")
-    return buf[offset:offset + n], offset + n
+class _Reader:
+    """Reads a record file front to back, checking each length against the
+    bytes left before reading or allocating anything for it."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.pos, self.size = 0, os.fstat(fh.fileno()).st_size
+
+    def truncated(self, what: str) -> CorruptDataError:
+        return CorruptDataError(f"{self.path}: truncated while reading {what}")
+
+    def need(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
+            raise self.truncated(what)
+        self.pos += n
+
+    def read(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        chunk = self.fh.read(n)
+        if len(chunk) != n:  # the file shrank while it was read
+            raise self.truncated(what)
+        return chunk
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.read(4, what))[0]
+
+    def payload(self, shape: tuple, name: str) -> np.ndarray:
+        # exact: np.prod wraps around in int64, and a wrapped count could
+        # pass the size check
+        nbytes = 4 * math.prod(shape)
+        self.need(nbytes, f"payload of {name}")
+        arr = np.empty(shape, dtype="<f4")
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise self.truncated(f"payload of {name}")
+        return arr
 
 
 def read_records(path) -> Dict[str, np.ndarray]:
     """Read every record, in file order; truncation raises CorruptDataError."""
     with open(path, "rb") as fh:
-        # slices of a memoryview share the file's bytes, so each payload is
-        # copied once, into its own array
-        buf = memoryview(fh.read())
-    chunk, off = _take(buf, 0, 8, path, "header")
-    if chunk[:4] != MAGIC:
-        raise CorruptDataError(f"{path}: bad magic {bytes(chunk[:4])!r}")
-    version = struct.unpack("<I", chunk[4:])[0]
-    if version != VERSION:
-        raise CorruptDataError(f"{path}: unsupported format version {version}")
-
-    out: Dict[str, np.ndarray] = {}
-    while off < len(buf):
-        chunk, off = _take(buf, off, 4, path, "name length")
-        name_len = struct.unpack("<I", chunk)[0]
-        chunk, off = _take(buf, off, name_len, path, "name")
-        try:
-            name = bytes(chunk).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptDataError(f"{path}: record name at byte {off - name_len} "
-                                   f"is not UTF-8") from None
-        if name in out:
-            raise CorruptDataError(f"{path}: record {name!r} appears twice")
-        chunk, off = _take(buf, off, 4, path, "rank")
-        rank = struct.unpack("<I", chunk)[0]
-        chunk, off = _take(buf, off, 4 * rank, path, f"extents of {name}")
-        shape = struct.unpack(f"<{rank}I", chunk) if rank else ()
-        # exact: np.prod wraps around in int64, and a wrapped count could
-        # pass the size check below
-        count = math.prod(shape)
-        chunk, off = _take(buf, off, 4 * count, path, f"payload of {name}")
-        out[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+        reader = _Reader(fh, path)
+        header = reader.read(8, "header")
+        if header[:4] != MAGIC:
+            raise CorruptDataError(f"{path}: bad magic {header[:4]!r}")
+        version = struct.unpack("<I", header[4:])[0]
+        if version != VERSION:
+            raise CorruptDataError(f"{path}: unsupported format version {version}")
+        out: Dict[str, np.ndarray] = {}
+        while reader.pos < reader.size:
+            name_len = reader.u32("name length")
+            start = reader.pos
+            try:
+                name = reader.read(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptDataError(f"{path}: record name at byte {start} "
+                                       f"is not UTF-8") from None
+            if name in out:
+                raise CorruptDataError(f"{path}: record {name!r} appears twice")
+            rank = reader.u32("rank")
+            if rank > MAX_RANK:
+                raise CorruptDataError(f"{path}: record {name!r} has rank {rank}, "
+                                       f"more than {MAX_RANK}")
+            extents = reader.read(4 * rank, f"extents of {name}")
+            out[name] = reader.payload(struct.unpack(f"<{rank}I", extents), name)
     return out
 
 
@@ -130,6 +162,9 @@ def read_config(path) -> RunConfig:
     if codes is None:
         raise ConfigError(f"{path}: checkpoint has no {CONFIG_RECORD!r} record, "
                           f"so the model it holds cannot be rebuilt")
+    if not ((codes >= 0) & (codes <= 255) & (np.floor(codes) == codes)).all():
+        raise CorruptDataError(f"{path}: {CONFIG_RECORD!r} record holds a value "
+                               f"that is not a byte")
     try:
         text = codes.astype(np.uint8).tobytes().decode("utf-8")
     except UnicodeDecodeError:
@@ -138,22 +173,31 @@ def read_config(path) -> RunConfig:
 
 
 def load_model(path, model) -> Dict[str, float]:
-    """Load parameters by name into model; returns the meta/ scalars."""
+    """Load parameters by name into model; returns the meta/ scalars.
+
+    Every record is checked against the model before any parameter is
+    rebound, so a load that raises leaves the model as it was."""
     arrays = read_records(path)
-    meta = {k[len("meta/"):]: float(v[0]) for k, v in arrays.items()
-            if k.startswith("meta/")}
     params = dict(model.named_parameters())
     for name, p in params.items():
         if name not in arrays:
             raise CorruptDataError(f"{path}: missing parameter record {name}")
         arr = arrays[name]
-        if tuple(arr.shape) != tuple(p.shape):
-            raise ConfigError(f"{path}: shape {tuple(arr.shape)} for {name} does not "
+        if arr.shape != tuple(p.shape):
+            raise ConfigError(f"{path}: shape {arr.shape} for {name} does not "
                               f"match model shape {tuple(p.shape)}")
-        p.data = arr.astype(p.data.dtype)
-        p.grad = None
     extra = [k for k in arrays if not k.startswith("meta/") and k != CONFIG_RECORD
              and k not in params]
     if extra:
         raise ConfigError(f"{path}: checkpoint has records the model does not: {extra[:3]}")
+    meta = {}
+    for key, value in arrays.items():
+        if key.startswith("meta/"):
+            if value.shape != (1,):
+                raise CorruptDataError(f"{path}: record {key} has shape {value.shape}, "
+                                       f"expected (1,)")
+            meta[key[len("meta/"):]] = float(value[0])
+    for name, p in params.items():
+        p.data = arrays[name].astype(p.data.dtype, copy=False)
+        p.grad = None
     return meta

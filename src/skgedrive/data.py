@@ -286,7 +286,19 @@ def _arrays_to_sample(arrays: dict, path) -> Sample:
 def save_dataset(directory, samples: List[Sample], seeds: List[int]) -> None:
     """Write the samples, then their manifest. The files an existing
     manifest lists are removed first, so a save cut short leaves a manifest
-    naming missing files (CorruptDataError on load), never a mix of two."""
+    naming missing files (CorruptDataError on load), never a mix of two.
+
+    A dataset load_dataset would refuse for its size or its image sizes,
+    or seeds that do not pair up with the samples, raise DataError before
+    anything on disk changes."""
+    if not samples:
+        raise DataError(f"{directory}: dataset has no samples")
+    if len(seeds) != len(samples):
+        raise DataError(f"{directory}: {len(seeds)} seeds for {len(samples)} samples")
+    for i, sample in enumerate(samples):
+        if sample.rgb.shape != samples[0].rgb.shape:
+            raise DataError(f"{directory}: sample {i}: image shape {sample.rgb.shape} "
+                            f"differs from the first sample's {samples[0].rgb.shape}")
     os.makedirs(directory, exist_ok=True)
     try:
         old = [fname for _, fname, _ in read_manifest(directory)]
@@ -331,12 +343,18 @@ def read_manifest(directory) -> List[tuple]:
         raise CorruptDataError(f"{path}: bad manifest header {lines[0]!r}")
     count = _manifest_int(head[2], path, lines[0])
     entries = []
+    indices, fnames = set(), set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise CorruptDataError(f"{path}: bad manifest line {ln!r}")
-        entries.append((_manifest_int(parts[0], path, ln), parts[1],
-                        _manifest_int(parts[2], path, ln)))
+        index, fname = _manifest_int(parts[0], path, ln), parts[1]
+        if index in indices or fname in fnames:
+            raise CorruptDataError(f"{path}: manifest line {ln!r} repeats an earlier "
+                                   f"{'index' if index in indices else 'file name'}")
+        indices.add(index)
+        fnames.add(fname)
+        entries.append((index, fname, _manifest_int(parts[2], path, ln)))
     if len(entries) != count:
         raise CorruptDataError(f"{path}: header promises {count} records, "
                                f"manifest lists {len(entries)}")

@@ -160,7 +160,7 @@ def read_drive_log(path) -> DriveLog:
                 continue
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or an integer too long to parse
                 raise CorruptDataError(f"{path}:{ln}: bad record: {e}") from None
             if not isinstance(rec, dict):
                 raise CorruptDataError(f"{path}:{ln}: record is not a JSON object")
@@ -170,6 +170,9 @@ def read_drive_log(path) -> DriveLog:
             if not isinstance(rec["route_id"], str):
                 raise CorruptDataError(f"{path}:{ln}: route_id is not a string: "
                                        f"{rec['route_id']!r}")
+            if not isinstance(rec["on_road"], bool):
+                raise CorruptDataError(f"{path}:{ln}: on_road is not a boolean: "
+                                       f"{rec['on_road']!r}")
             if route_id is None:
                 route_id = rec["route_id"]
             elif rec["route_id"] != route_id:
@@ -178,7 +181,7 @@ def read_drive_log(path) -> DriveLog:
                 length = _number(rec, "route_length", path, ln)
             if rec["kind"] == "step":
                 steps.append((_number(rec, "x", path, ln), _number(rec, "y", path, ln),
-                              bool(rec["on_road"])))
+                              rec["on_road"]))
             elif rec["kind"] == "infraction":
                 if not isinstance(rec["infraction_type"], str):
                     raise CorruptDataError(f"{path}:{ln}: infraction_type is not a "

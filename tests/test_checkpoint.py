@@ -2,13 +2,14 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skgedrive
-from skgedrive.checkpoint import (MAGIC, VERSION, load_model, read_config,
+from skgedrive.checkpoint import (MAGIC, MAX_RANK, VERSION, load_model, read_config,
                                   read_records, save_model, write_records)
 from skgedrive.config import RunConfig
 from skgedrive.errors import ConfigError, CorruptDataError
@@ -130,6 +131,74 @@ def test_load_model_missing_record(tmp_path):
         load_model(path, model)
 
 
+def _corrupted(arrays, case):
+    """arrays with its last parameter record dropped or reshaped, or one added."""
+    arrays = dict(arrays)
+    last = list(arrays)[-1]
+    if case == "missing":
+        del arrays[last]
+    elif case == "shape":
+        arrays[last] = np.ones(arrays[last].size + 1, dtype=np.float32)
+    else:
+        arrays["stray.weight"] = np.ones(3, dtype=np.float32)
+    return arrays
+
+
+@pytest.mark.parametrize("case, error", [("missing", CorruptDataError),
+                                         ("shape", ConfigError), ("extra", ConfigError)])
+def test_a_failed_load_changes_no_parameter(tmp_path, case, error):
+    cfg = RunConfig()
+    source = build_model(cfg, np.random.default_rng(1))
+    path = tmp_path / "bad.ckpt"
+    write_records(path, _corrupted({n: p.data for n, p in source.named_parameters()}, case))
+    model = build_model(cfg, np.random.default_rng(0))
+    before = {n: (p.data, p.data.copy()) for n, p in model.named_parameters()}
+    with pytest.raises(error):
+        load_model(path, model)
+    for name, p in model.named_parameters():
+        assert p.data is before[name][0]
+        np.testing.assert_array_equal(p.data, before[name][1])
+
+
+def test_load_model_holds_one_copy_of_the_weights(tmp_path):
+    """Each payload goes from the file into its own array, and a float32
+    model takes that array as it is."""
+    cfg = RunConfig()
+    path = tmp_path / "m.ckpt"
+    save_model(path, build_model(cfg, np.random.default_rng(1)), {"epoch": 1.0}, cfg=cfg)
+    model = build_model(cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        load_model(path, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * path.stat().st_size
+
+
+def test_a_rank_beyond_the_limit_is_corruption(tmp_path):
+    path = tmp_path / "deep.rec"
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", 1) + b"w"
+                     + struct.pack(f"<{MAX_RANK + 2}I", MAX_RANK + 1, *[1] * (MAX_RANK + 1))
+                     + struct.pack("<f", 1.0))
+    with pytest.raises(CorruptDataError, match=f"record 'w' has rank {MAX_RANK + 1}"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("value", [[2.0], [], [1.0, 2.0]])
+def test_a_meta_record_is_one_value(tmp_path, value):
+    model = build_model(RunConfig(), np.random.default_rng(0))
+    arrays = {n: p.data for n, p in model.named_parameters()}
+    arrays["meta/epoch"] = np.array(value, dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    write_records(path, arrays)
+    if len(value) == 1:
+        assert load_model(path, model) == {"epoch": 2.0}
+    else:
+        with pytest.raises(CorruptDataError, match="record meta/epoch has shape"):
+            load_model(path, model)
+
+
 def test_config_record_roundtrip(tmp_path):
     cfg = RunConfig()
     cfg.set("skge.route_b", "1,2,3->4")
@@ -155,6 +224,14 @@ def test_a_config_record_that_is_not_utf8_is_corrupt_data(tmp_path):
     path = tmp_path / "m.ckpt"
     write_records(path, {"config": np.array([0xFF, 0xFE], dtype=np.uint8)})
     with pytest.raises(CorruptDataError, match="'config' record is not UTF-8"):
+        read_config(path)
+
+
+@pytest.mark.parametrize("value", [256.0, -1.0, 65.5, float("nan"), float("inf")])
+def test_a_config_record_value_that_is_not_a_byte_is_corrupt_data(tmp_path, value):
+    path = tmp_path / "m.ckpt"
+    write_records(path, {"config": np.array([65.0, value], dtype=np.float32)})
+    with pytest.raises(CorruptDataError, match="'config' record holds a value that is not a byte"):
         read_config(path)
 
 

@@ -182,6 +182,20 @@ def test_score_log_with_bad_record_exits_4(tmp_path, capsys, line):
     assert "bad.ndjson:1:" in stderr
 
 
+@pytest.mark.parametrize("value", ['"false"', "0", "1", "null"])
+def test_score_log_whose_on_road_is_not_a_boolean_exits_4(tmp_path, capsys, value):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    step = '{"route_id": "a", "kind": "step", "x": %s, "y": 0, "on_road": %s, ' \
+           '"infraction_type": ""%s}\n'
+    (logs / "a.ndjson").write_text(step % (0, value, ', "route_length": 10')
+                                   + step % (10, value, ""))
+    code, stdout, stderr = _run(capsys, "score", "--logs", str(logs))
+    assert code == 4
+    assert f"a.ndjson:1: on_road is not a boolean: {json.loads(value)!r}" in stderr
+    assert stdout == ""
+
+
 def test_score_command(tmp_path, capsys):
     logs = tmp_path / "logs"
     logs.mkdir()

@@ -267,3 +267,36 @@ def test_an_interrupted_save_over_a_dataset_leaves_no_mix(tmp_path, small_sample
     for got, want in zip(back, small_samples[4:6]):
         np.testing.assert_array_equal(got.rgb, want.rgb)
     assert sorted(os.listdir(tmp_path)) == ["000000.rec", "000001.rec", MANIFEST_NAME]
+
+
+@pytest.mark.parametrize("samples, seeds, match", [
+    ([], [], "dataset has no samples"),
+    ([synth_scene(0), synth_scene(1, SceneConfig(size=32))], [0, 1],
+     r"sample 1: image shape \(3, 32, 32\) differs from the first sample's \(3, 64, 64\)"),
+    ([synth_scene(0), synth_scene(1)], [0], "1 seeds for 2 samples"),
+    ([synth_scene(0)], [0, 1], "2 seeds for 1 samples"),
+])
+def test_save_refuses_what_load_refuses_and_keeps_the_old_dataset(tmp_path, small_samples,
+                                                                  samples, seeds, match):
+    save_dataset(tmp_path, small_samples[:2], [0, 1])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(DataError, match=match):
+        save_dataset(tmp_path, samples, seeds)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(DataError, match=match):
+        save_dataset(tmp_path / "new", samples, seeds)
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("lines, repeated", [
+    (["0 000000.rec 0", "0 000000.rec 0"], "index"),
+    (["0 000000.rec 0", "1 000000.rec 1"], "file name"),
+    (["0 000000.rec 0", "0 000001.rec 1"], "index"),
+])
+def test_a_manifest_that_repeats_an_entry_is_corrupt(tmp_path, small_samples, lines, repeated):
+    save_dataset(tmp_path, small_samples[:2], [0, 1])
+    (tmp_path / MANIFEST_NAME).write_text("skge-dataset 1 2 classtable=1\n"
+                                          + "\n".join(lines) + "\n")
+    with pytest.raises(CorruptDataError, match=f"manifest line '{lines[1]}' repeats "
+                                               f"an earlier {repeated}"):
+        load_dataset(tmp_path)

@@ -271,6 +271,14 @@ def test_read_rejects_empty_and_garbage(tmp_path):
         read_drive_log(garbage)
 
 
+def test_a_number_too_long_to_parse_is_corrupt(tmp_path):
+    path = tmp_path / "long.ndjson"
+    path.write_text('{"route_id": "a", "kind": "step", "x": %s, "y": 0, "on_road": true, '
+                    '"infraction_type": "", "route_length": 10}\n' % ("9" * 5000))
+    with pytest.raises(CorruptDataError, match="long.ndjson:1: bad record"):
+        read_drive_log(path)
+
+
 def test_read_rejects_unknown_kind(tmp_path):
     path = tmp_path / "kind.ndjson"
     rec = {"route_id": "a", "kind": "teleport", "x": 0, "y": 0,
